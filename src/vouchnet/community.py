@@ -173,22 +173,55 @@ def propose_and_approve(graph: CommunityGraph, params: FormationParams,
                         ledgers: dict[int, Ledger], rng: random.Random) -> list[tuple[int, int]]:
     """One formation round. Each node, in seeded random order, offers links
     to its best few strangers; a link forms only if both sides gain and
-    neither is at its degree cap. Returns the edges formed."""
+    neither is at its degree cap. Returns the edges formed.
+
+    A proposer ranks every unlinked node with positive utility by
+    (-utility, id) and offers links to the top ``proposals_per_round``.
+    The ranking is computed without scoring every node: a peer missing
+    from the proposer's ledger reads as 0.5 trust, so all such strangers
+    of one type share one utility, and only the lowest eligible ids of a
+    type can make the cut. Known peers are scored one by one; each type is
+    scored once and contributes its first ``proposals_per_round`` eligible
+    ids. That is O(known peers + types x proposals) per proposer, plus the
+    neighbours skipped on the way, and gives exactly the all-pairs list,
+    ties included. Membership does not change within a round, so the ids
+    are bucketed by type once.
+    """
     order = graph.node_ids()
+    by_type: dict[str, list[int]] = {}
+    for nid in order:
+        by_type.setdefault(graph.nodes[nid].node_type, []).append(nid)
     rng.shuffle(order)
+    cut = params.proposals_per_round
     formed: list[tuple[int, int]] = []
     for proposer_id in order:
         proposer = graph.nodes[proposer_id]
+        ledger = ledgers.get(proposer_id)
+        known = set(ledger.known_peers()) if ledger is not None else set()
         candidates = []
-        for other_id in graph.node_ids():
-            if other_id == proposer_id or graph.has_edge(proposer_id, other_id):
-                continue
-            util = marginal_utility(proposer, graph.nodes[other_id], params,
-                                    ledgers.get(proposer_id))
+        for peer in known:
+            if (peer == proposer_id or peer not in graph.nodes
+                    or graph.has_edge(proposer_id, peer)):
+                continue  # departed peers stay in ledgers
+            util = marginal_utility(proposer, graph.nodes[peer], params, ledger)
             if util > 0.0:
+                candidates.append((util, peer))
+        for ids in by_type.values():
+            # Scored without a ledger: the 0.5 every stranger of this type reads as.
+            util = marginal_utility(proposer, graph.nodes[ids[0]], params)
+            if util <= 0.0:
+                continue
+            taken = 0
+            for other_id in ids:
+                if taken == cut:
+                    break
+                if (other_id == proposer_id or other_id in known
+                        or graph.has_edge(proposer_id, other_id)):
+                    continue
                 candidates.append((util, other_id))
+                taken += 1
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        for _, target_id in candidates[:params.proposals_per_round]:
+        for _, target_id in candidates[:cut]:
             if graph.degree(proposer_id) >= proposer.max_degree:
                 break
             target = graph.nodes[target_id]

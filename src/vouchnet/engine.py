@@ -472,8 +472,9 @@ class Simulation:
         if sc.workload.requests_per_epoch and self.catalog.app_ids() and len(self.graph):
             wl_rng = derive_rng(self.seed, "workload", epoch)
             labels = [a.label() for a in self.catalog.app_ids()]
+            node_ids = self.graph.node_ids()
             for _ in range(sc.workload.requests_per_epoch):
-                requester = wl_rng.choice(self.graph.node_ids())
+                requester = wl_rng.choice(node_ids)
                 label = wl_rng.choice(labels)
                 requests.append((requester, AppId.parse(label)))
         for requester, app_id in requests:

@@ -10,7 +10,7 @@ that never shared the voted content at all.
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .apps import AppPackage
 from .community import CommunityGraph
@@ -25,11 +25,10 @@ from .messages import (
     VerifyRequest,
     mac_message,
 )
+from .protocol import Interceptor
 
 DEFAULT_MAC_FANOUT = 10
 DEFAULT_QUORUM = 0.5
-
-Interceptor = Callable[[int, object], object]
 
 
 def build_auth_package(sender: int, package: AppPackage, graph: CommunityGraph,
@@ -84,6 +83,7 @@ def verify_round(requester: int, auth: AuthPackage, graph: CommunityGraph,
     """
     requests: list[VerifyRequest] = []
     replies: list[VerifyReply] = []
+    bound = mac_message(auth.app_id, auth.claimed_digest)
     for verifier, tag in auth.macs:
         request = VerifyRequest(requester=requester, sender=auth.sender,
                                 verifier=verifier, app_id=auth.app_id,
@@ -96,7 +96,6 @@ def verify_round(requester: int, auth: AuthPackage, graph: CommunityGraph,
             raise VouchnetError(
                 f"verifier {verifier} is linked to {auth.sender} but holds no key")
         key = store.key_for(auth.sender)
-        bound = mac_message(auth.app_id, auth.claimed_digest)
         try:
             verdict = verify_mac(key, bound, tag, min_key_bits=min_key_bits)
         except KeyMismatchError:

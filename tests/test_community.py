@@ -207,6 +207,92 @@ def test_degree_cap_and_key_bijection_over_random_operations():
             assert set(g.keystores[i].neighbors()) == set(g.neighbors(i))
 
 
+def all_pairs_propose_and_approve(graph, params, ledgers, rng):
+    """The formation round scored over every pair: the reference that the
+    bucketed candidate search must reproduce exactly."""
+    order = graph.node_ids()
+    rng.shuffle(order)
+    formed = []
+    for proposer_id in order:
+        proposer = graph.nodes[proposer_id]
+        candidates = []
+        for other_id in graph.node_ids():
+            if other_id == proposer_id or graph.has_edge(proposer_id, other_id):
+                continue
+            util = marginal_utility(proposer, graph.nodes[other_id], params,
+                                    ledgers.get(proposer_id))
+            if util > 0.0:
+                candidates.append((util, other_id))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        for _, target_id in candidates[:params.proposals_per_round]:
+            if graph.degree(proposer_id) >= proposer.max_degree:
+                break
+            target = graph.nodes[target_id]
+            if graph.degree(target_id) >= target.max_degree:
+                continue
+            back = marginal_utility(target, proposer, params, ledgers.get(target_id))
+            if back > 0.0:
+                graph.add_edge(proposer_id, target_id, rng)
+                formed.append((min(proposer_id, target_id), max(proposer_id, target_id)))
+    return formed
+
+
+def random_world(seed, trust_weight, proposals):
+    """A seeded graph with mixed types, pre-existing links (some nodes at
+    their cap), ledgers at varied trust that still hold departed peers, and
+    one node without a ledger."""
+    rng = random.Random(seed)
+    types = ["cam", "lock", "hub"][:rng.randint(1, 3)]
+    n = rng.randint(2, 30)
+    g = CommunityGraph()
+    for i in range(n):
+        g.add_node(NodeProfile(id=i, node_type=rng.choice(types),
+                               max_degree=rng.randint(1, 6)))
+    key_rng = random.Random(seed)
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.sample(range(n), 2)
+        if (not g.has_edge(a, b) and g.degree(a) < g.nodes[a].max_degree
+                and g.degree(b) < g.nodes[b].max_degree):
+            g.add_edge(a, b, key_rng)
+    ledgers = {}
+    for i in range(n):
+        ledger = Ledger(i)
+        for peer in rng.sample(range(n), rng.randint(0, min(n, 10))):
+            # (0.5, 0.5) and (1.0, 0.25) both read as exactly 0.5, like a stranger.
+            resp, cond = rng.choice([(0.5, 0.5), (1.0, 0.25), (1.0, 1.0), (0.0, 0.9),
+                                     (rng.random(), rng.random())])
+            rec = ledger._touch(peer)
+            rec.resp_prob, rec.cond_trust = resp, cond
+        ledgers[i] = ledger
+    for node in rng.sample(range(n), rng.randint(0, n // 4)):
+        g.remove_node(node)          # its id stays in other nodes' ledgers
+        del ledgers[node]
+    if len(g) > 1:
+        del ledgers[rng.choice(g.node_ids())]
+    params = FormationParams(beta_same=rng.choice([1.0, 0.6]),
+                             beta_diff=rng.choice([0.0, 0.2, 0.5, 0.8]),
+                             link_cost=0.5, trust_weight=trust_weight,
+                             proposals_per_round=proposals)
+    return g, ledgers, params
+
+
+@pytest.mark.parametrize("proposals", range(5))
+@pytest.mark.parametrize("trust_weight", [0.0, 1.0])
+def test_bucketed_formation_matches_all_pairs_scan(trust_weight, proposals):
+    capped = 0
+    for seed in range(60):
+        g_ref, ledgers_ref, params = random_world(seed, trust_weight, proposals)
+        g_new, ledgers_new, _ = random_world(seed, trust_weight, proposals)
+        rng_ref, rng_new = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            expected = all_pairs_propose_and_approve(g_ref, params, ledgers_ref, rng_ref)
+            assert propose_and_approve(g_new, params, ledgers_new, rng_new) == expected
+            assert g_new.edges() == g_ref.edges()
+            assert rng_new.getstate() == rng_ref.getstate()
+        capped += sum(g_new.degree(i) == g_new.nodes[i].max_degree for i in g_new.node_ids())
+    assert capped > 0
+
+
 # -- churn ---------------------------------------------------------------
 
 

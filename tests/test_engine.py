@@ -1,8 +1,10 @@
 """End-to-end behavior of the simulation engine."""
 
+from pathlib import Path
+
 import pytest
 
-from vouchnet import Behavior, Simulation, run
+from vouchnet import Behavior, Simulation, apply_overrides, run
 from vouchnet.apps import AppId
 from vouchnet.events import (
     EV_CALL_OUT,
@@ -21,6 +23,8 @@ from vouchnet.messages import REASON_FINGERPRINT, REASON_NO_VERIFIERS, REASON_QU
 from vouchnet.metrics import EpochMetrics
 from vouchnet.rng import derive_rng
 from vouchnet.scenario import AppSpec, Scenario, WorkloadSpec
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def base_scenario(**kw) -> Scenario:
@@ -77,6 +81,30 @@ def test_seed_override_changes_log():
     log_a, _ = run(sc)
     log_b, _ = run(sc, seed=100)
     assert log_a.digest() != log_b.digest()
+
+
+# The full log digest of each packaged scenario, and of community_study
+# scaled to 400 nodes. A change that moves one of these changes behaviour
+# and has to say so.
+PACKAGED_DIGESTS = {
+    "smoke": "63704c5986e1dcba4f934dcc76ae14b0621a4061f47e1fd8ab104028",
+    "tampered_campaign": "4184597b4e866e82eb5e0c080e9ff81a3a8d9029f81bfe7bae3b389f",
+    "community_study": "de8eff3532e0914472f6cf43ea104e440ab5bbd8cbd8164d9bdce64a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKAGED_DIGESTS))
+def test_packaged_scenario_digest_pinned(name):
+    _, report = run(Scenario.from_file(SCENARIOS / f"{name}.json"))
+    assert report.log_digest == PACKAGED_DIGESTS[name]
+
+
+def test_community_study_at_400_nodes_digest_pinned():
+    base = Scenario.from_file(SCENARIOS / "community_study.json")
+    scenario = apply_overrides(base, {"node_count": 400, "epochs": 10,
+                                      "workload.requests_per_epoch": 20, "seed": 7})
+    _, report = run(scenario)
+    assert report.log_digest == "ddad2d37594aa4dcef044e3d4e3ac7cc089641d751380fa4bac9bc46"
 
 
 def test_zero_epochs_logs_nothing():
