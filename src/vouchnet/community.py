@@ -12,7 +12,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .adversary import Behavior
 from .crypto import KeyStore, pair
 from .errors import ConfigurationError, UndefinedHomophilyError
 from .trust import Ledger, combined_trust
@@ -27,7 +26,6 @@ class NodeProfile:
     node_type: str
     age: int = 0
     key_length_bits: int = 256
-    behavior: Behavior = Behavior.HONEST
     max_degree: int = DEFAULT_MAX_DEGREE
     is_hub: bool = False
     base_max_degree: int = field(default=0)
@@ -202,7 +200,7 @@ def propose_and_approve(graph: CommunityGraph, params: FormationParams,
         for peer in known:
             if (peer == proposer_id or peer not in graph.nodes
                     or graph.has_edge(proposer_id, peer)):
-                continue  # departed peers stay in ledgers
+                continue  # a caller's ledgers may still name departed peers
             util = marginal_utility(proposer, graph.nodes[peer], params, ledger)
             if util > 0.0:
                 candidates.append((util, peer))

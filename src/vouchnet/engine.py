@@ -141,8 +141,6 @@ class Simulation:
                               mix=dict(sc.compromise.mix),
                               seed=derive_seed(self.seed, "compromise"))
         self.behaviors = assign_behaviors(self.graph, plan)
-        for node, behavior in self.behaviors.items():
-            self.graph.nodes[node].behavior = behavior
 
         for spec in sorted(sc.apps, key=lambda a: a.label()):
             app_id = AppId(spec.name, spec.version)
@@ -204,53 +202,74 @@ class Simulation:
     def _interceptor(self, node: int, message: object):
         return intercept(self._behavior(node), message, self.ictx)
 
-    def _log(self, kind: str, data: dict, bits: int = 0, retrieval: int | None = None,
-             message: bool = False, trace: RetrievalTrace | None = None):
+    def _log(self, kind: str, data: dict, bits: int = 0, message: bool = False,
+             trace: RetrievalTrace | None = None):
+        retrieval = trace.retrieval if trace is not None else None
         record = self.log.append(kind, {k: str(v) for k, v in data.items()},
                                  bits=bits, retrieval=retrieval, message=message)
         if trace is not None:
             trace.events.append(record)
         return record
 
-    def _fallback_to_store(self, trace: RetrievalTrace, app_id: AppId, reason: str) -> None:
-        """A failed community retrieval falls back to the store when it can."""
-        if self.scenario.store_blocked or not self.catalog.has(app_id):
-            return
-        clean = self.catalog.clean_package(app_id)
-        self.installs.install(trace.requester, clean)
-        self._log(EV_STORE_FETCH, {"node": trace.requester, "app": app_id.label(),
-                                   "reason": reason},
-                  retrieval=trace.retrieval, trace=trace)
-        self._log(EV_INSTALL, {"node": trace.requester, "app": app_id.label(),
-                               "origin": clean.origin,
-                               "digest": clean.fingerprint(self.width).hex()},
-                  retrieval=trace.retrieval, trace=trace)
+    def _decided(self, trace: RetrievalTrace, decision: AcceptanceDecision) -> str:
+        self._log(EV_DECISION, {"accepted": decision.accepted, "reason": decision.reason,
+                                "positives": decision.positives,
+                                "polled": decision.total_polled}, trace=trace)
+        return decision.reason
+
+    def _install(self, trace: RetrievalTrace, package: AppPackage) -> None:
+        self.installs.install(trace.requester, package)
+        self._log(EV_INSTALL, {"node": trace.requester, "app": trace.app_label,
+                               "origin": package.origin,
+                               "digest": package.fingerprint(self.width).hex()},
+                  trace=trace)
 
     # -- one retrieval -----------------------------------------------------
 
     def execute_retrieval(self, epoch: int, requester: int, app_id: AppId,
                           row: "metrics_mod.EpochMetrics") -> RetrievalTrace:
-        sc = self.scenario
-        rid = self.retrieval_count
+        """Run one retrieval to its end: install the vouched package, or
+        fetch the store copy when the community could not vouch for one."""
+        trace = RetrievalTrace(retrieval=self.retrieval_count, epoch=epoch,
+                               requester=requester, app_label=app_id.label())
         self.retrieval_count += 1
-        rng = derive_rng(self.seed, "retrieval", rid)
-        trace = RetrievalTrace(retrieval=rid, epoch=epoch, requester=requester,
-                               app_label=app_id.label())
         self.traces.append(trace)
         row.retrievals += 1
+
+        trace.reason, package = self._vouch(trace, app_id, row)
+        trace.accepted = package is not None
+        if package is not None:
+            row.accepted += 1
+            trace.infected_install = package.is_tampered
+            if package.is_tampered:
+                row.tampered_accepted += 1
+            self._install(trace, package)
+        elif not self.scenario.store_blocked and self.catalog.has(app_id):
+            self._log(EV_STORE_FETCH, {"node": requester, "app": trace.app_label,
+                                       "reason": trace.reason}, trace=trace)
+            self._install(trace, self.catalog.clean_package(app_id))
+        return trace
+
+    def _vouch(self, trace: RetrievalTrace, app_id: AppId,
+               row: "metrics_mod.EpochMetrics") -> tuple[str, AppPackage | None]:
+        """Call-out, vote, delivery and verification. Returns why the
+        retrieval ended and the package to install, or None if there is none."""
+        sc = self.scenario
+        requester = trace.requester
+        rng = derive_rng(self.seed, "retrieval", trace.retrieval)
 
         self.rounds[requester] = self.rounds.get(requester, 0) + 1
         call, replies, polled = broadcast_call_out(
             requester, app_id, self.rounds[requester], self.graph, self.installs,
             width_bits=self.width, hop_limit=sc.protocol.hop_limit,
             interceptor=self._interceptor)
-        self._log(EV_CALL_OUT, {"requester": requester, "app": app_id.label(),
+        self._log(EV_CALL_OUT, {"requester": requester, "app": trace.app_label,
                                 "round": self.rounds[requester]},
-                  retrieval=rid, message=True, trace=trace)
+                  message=True, trace=trace)
         for reply in replies:
             self._log(EV_REPLY, {"responder": reply.responder,
                                  "digest": reply.digest.hex()},
-                      bits=self.width, retrieval=rid, message=True, trace=trace)
+                      bits=self.width, message=True, trace=trace)
         trace.responders = len(replies)
 
         responded = {r.responder for r in replies}
@@ -263,28 +282,24 @@ class Simulation:
             if reply not in kept:
                 self._log(EV_OLD_FILTERED, {"responder": reply.responder,
                                             "key_bits": reply.key_length_bits},
-                          retrieval=rid, trace=trace)
+                          trace=trace)
                 row.old_filtered += 1
 
         try:
             outcome = majority_vote(kept)
         except NoSourceError:
             row.vote_no_replies += 1
-            trace.reason = "no-replies"
-            self._fallback_to_store(trace, app_id, "no-replies")
-            return trace
+            return "no-replies", None
         except NoMajorityError:
             row.vote_ties += 1
-            trace.reason = "vote-tie"
-            self._fallback_to_store(trace, app_id, "vote-tie")
-            return trace
+            return "vote-tie", None
 
-        self._log(EV_VOTE, {"app": app_id.label(),
+        self._log(EV_VOTE, {"app": trace.app_label,
                             "majority": outcome.majority_digest.hex(),
                             "supporters": _ids_csv(outcome.supporters),
                             "dissenters": _ids_csv(outcome.dissenters),
                             "unanimous": outcome.unanimous},
-                  retrieval=rid, trace=trace)
+                  trace=trace)
         if outcome.unanimous:
             row.vote_unanimous += 1
         else:
@@ -299,15 +314,15 @@ class Simulation:
             self._log(EV_NOTICE, {"target": notice.target,
                                   "suspected": notice.suspected_digest.hex(),
                                   "majority": notice.majority_digest.hex()},
-                      retrieval=rid, message=True, trace=trace)
+                      message=True, trace=trace)
             row.notices += 1
-            self.flagged.add((notice.target, app_id.label()))
+            self.flagged.add((notice.target, trace.app_label))
             held = self.installs.get(notice.target, app_id)
             if held is not None and not held.is_tampered:
                 row.false_accusations += 1
 
         source = choose_source(outcome, rng)
-        self._log(EV_SOURCE, {"source": source}, retrieval=rid, trace=trace)
+        self._log(EV_SOURCE, {"source": source}, trace=trace)
 
         package = self.installs.get(source, app_id)
         assert package is not None, "vote supporters always hold the app"
@@ -318,45 +333,31 @@ class Simulation:
                                       min_key_bits=sc.protocol.min_key_bits)
         except NoVerifiersError:
             decision = AcceptanceDecision(False, REASON_NO_VERIFIERS, 0, 0)
-            self._log(EV_DECISION, {"accepted": False, "reason": decision.reason,
-                                    "positives": 0, "polled": 0},
-                      retrieval=rid, trace=trace)
-            trace.reason = decision.reason
-            self._fallback_to_store(trace, app_id, decision.reason)
-            return trace
+            return self._decided(trace, decision), None
 
         auth = self._interceptor(source, auth)
         delivered = package
         if sc.study.delivery_substitution:
-            variant = tamper(AppPackage(app_id=app_id, payload=auth.payload,
-                                        origin=package.origin, adversary=package.adversary),
-                             adversary=source, rng=rng, width_bits=self.width)
-            delivered = variant
+            delivered = tamper(AppPackage(app_id=app_id, payload=auth.payload,
+                                          origin=package.origin, adversary=package.adversary),
+                               adversary=source, rng=rng, width_bits=self.width)
             auth = type(auth)(sender=auth.sender, app_id=auth.app_id,
-                              payload=variant.payload,
-                              claimed_digest=variant.fingerprint(self.width),
+                              payload=delivered.payload,
+                              claimed_digest=delivered.fingerprint(self.width),
                               macs=auth.macs)
-        elif auth.payload == package.payload:
-            delivered = package
         trace.mac_count = len(auth.macs)
         trace.payload_bytes = len(auth.payload)
         self._log(EV_DELIVERY, {"sender": auth.sender,
                                 "claimed": auth.claimed_digest.hex(),
                                 "macs": len(auth.macs),
                                 "payload_bytes": len(auth.payload)},
-                  bits=len(auth.macs) * self.width, retrieval=rid, message=True,
-                  trace=trace)
+                  bits=len(auth.macs) * self.width, message=True, trace=trace)
 
         expected = outcome.majority_digest if sc.protocol.vote_binding else auth.claimed_digest
         if not toc_tou_check(auth, expected):
-            decision = AcceptanceDecision(False, REASON_FINGERPRINT, 0, len(auth.macs))
-            self._log(EV_DECISION, {"accepted": False, "reason": decision.reason,
-                                    "positives": 0, "polled": len(auth.macs)},
-                      retrieval=rid, trace=trace)
-            trace.reason = decision.reason
             row.tocttou_rejections += 1
-            self._fallback_to_store(trace, app_id, decision.reason)
-            return trace
+            decision = AcceptanceDecision(False, REASON_FINGERPRINT, 0, len(auth.macs))
+            return self._decided(trace, decision), None
 
         compromise_p = sc.study.verifier_compromise_p
         if compromise_p is not None:
@@ -375,39 +376,22 @@ class Simulation:
         replied = {v.verifier for v in verdicts}
         for request in requests:
             self._log(EV_VERIFY_REQ, {"verifier": request.verifier},
-                      bits=self.width, retrieval=rid, message=True, trace=trace)
+                      bits=self.width, message=True, trace=trace)
         for verdict in verdicts:
             self._log(EV_VERIFY_REPLY, {"verifier": verdict.verifier,
                                         "verdict": verdict.verdict},
-                      bits=self.width, retrieval=rid, message=True, trace=trace)
+                      bits=self.width, message=True, trace=trace)
         for verifier in auth.verifier_ids():
             if verifier != requester:
                 update_response(ledger, verifier, verifier in replied)
 
         decision = decide(verdicts, total_polled=len(auth.macs),
                           quorum=sc.protocol.quorum)
-        self._log(EV_DECISION, {"accepted": decision.accepted,
-                                "reason": decision.reason,
-                                "positives": decision.positives,
-                                "polled": decision.total_polled},
-                  retrieval=rid, trace=trace)
-        trace.reason = decision.reason
-        trace.accepted = decision.accepted
-
-        if decision.accepted:
-            assert delivered.payload == auth.payload
-            self.installs.install(requester, delivered)
-            trace.infected_install = delivered.is_tampered
-            row.accepted += 1
-            if delivered.is_tampered:
-                row.tampered_accepted += 1
-            self._log(EV_INSTALL, {"node": requester, "app": app_id.label(),
-                                   "origin": delivered.origin,
-                                   "digest": delivered.fingerprint(self.width).hex()},
-                      retrieval=rid, trace=trace)
-        else:
-            self._fallback_to_store(trace, app_id, decision.reason)
-        return trace
+        reason = self._decided(trace, decision)
+        if not decision.accepted:
+            return reason, None
+        assert delivered.payload == auth.payload
+        return reason, delivered
 
     # -- epochs ------------------------------------------------------------
 
@@ -444,6 +428,10 @@ class Simulation:
             self.rounds.pop(node, None)
             self.flagged = {(n, a) for n, a in self.flagged if n != node}
             self._log(EV_LEAVE, {"node": node})
+        gone = set(summary.left)
+        for ledger in self.ledgers.values():
+            for peer in gone.intersection(ledger.known_peers()):
+                ledger.drop_peer(peer)
         for node in summary.joined:
             self.ledgers[node] = Ledger(node, alpha=sc.trust.smoothing_alpha)
             self.rounds[node] = 0

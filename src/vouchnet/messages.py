@@ -1,8 +1,7 @@
 """Protocol message types shared by the credibility and authentication layers.
 
-Each message knows its canonical wire form. MACs are always computed over
-``mac_message`` output, never over an ad-hoc string, so sender and verifier
-agree on the exact bytes being authenticated.
+MACs are always computed over ``mac_message`` output, never over an ad-hoc
+string, so sender and verifier agree on the exact bytes being authenticated.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ class CallOut:
     app_id: AppId
     round_no: int
 
-    def wire(self) -> bytes:
-        return encode_fields("call_out", self.requester, self.app_id.name,
-                             self.app_id.version, self.round_no)
-
 
 @dataclass(frozen=True)
 class FingerprintReply:
@@ -42,10 +37,6 @@ class FingerprintReply:
     app_id: AppId
     digest: Digest
     key_length_bits: int
-
-    def wire(self) -> bytes:
-        return encode_fields("reply", self.responder, self.app_id.name,
-                             self.app_id.version, self.digest.bits, self.key_length_bits)
 
 
 @dataclass(frozen=True)
@@ -70,11 +61,6 @@ class SuspicionNotice:
     suspected_digest: Digest
     majority_digest: Digest
 
-    def wire(self) -> bytes:
-        return encode_fields("notice", self.sender, self.target, self.app_id.name,
-                             self.app_id.version, self.suspected_digest.bits,
-                             self.majority_digest.bits)
-
 
 @dataclass(frozen=True)
 class AuthPackage:
@@ -90,15 +76,6 @@ class AuthPackage:
     def verifier_ids(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.macs)
 
-    def wire(self) -> bytes:
-        fields: list[bytes | int | str] = ["delivery", self.sender, self.app_id.name,
-                                           self.app_id.version, self.payload,
-                                           self.claimed_digest.bits]
-        for verifier, tag in self.macs:
-            fields.append(verifier)
-            fields.append(tag.tag)
-        return encode_fields(*fields)
-
 
 @dataclass(frozen=True)
 class VerifyRequest:
@@ -109,19 +86,11 @@ class VerifyRequest:
     digest: Digest
     tag: MacTag
 
-    def wire(self) -> bytes:
-        return encode_fields("verify_req", self.requester, self.sender, self.verifier,
-                             self.app_id.name, self.app_id.version,
-                             self.digest.bits, self.tag.tag)
-
 
 @dataclass(frozen=True)
 class VerifyReply:
     verifier: int
     verdict: bool
-
-    def wire(self) -> bytes:
-        return encode_fields("verify_reply", self.verifier, self.verdict)
 
 
 @dataclass(frozen=True)

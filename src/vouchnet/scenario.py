@@ -9,24 +9,27 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
+from .adversary import Behavior
 from .community import FormationParams
-from .crypto import SUPPORTED_WIDTHS
+from .crypto import DEFAULT_WIDTH_BITS, MIN_KEY_BITS, SUPPORTED_WIDTHS
 from .errors import ScenarioError, UnknownParameterError
+from .multipath import DEFAULT_MAC_FANOUT, DEFAULT_QUORUM
+from .trust import DEFAULT_ALPHA
 
 SCHEMA_VERSION = 1
 
-_BEHAVIOR_NAMES = {"tampered_server", "tocttou_swapper", "lying_verifier", "free_rider"}
+_BEHAVIOR_NAMES = {b.value for b in Behavior if b is not Behavior.HONEST}
 
 
 @dataclass
 class ProtocolParams:
-    digest_width_bits: int = 224
-    mac_fanout: int = 10
-    quorum: float = 0.5
-    min_key_bits: int = 128
+    digest_width_bits: int = DEFAULT_WIDTH_BITS
+    mac_fanout: int = DEFAULT_MAC_FANOUT
+    quorum: float = DEFAULT_QUORUM
+    min_key_bits: int = MIN_KEY_BITS
     hop_limit: int | None = None
     # When False the requester accepts the claimed digest as the reference
     # instead of binding the delivery to a prior vote. Used by studies that
@@ -36,7 +39,7 @@ class ProtocolParams:
 
 @dataclass
 class TrustParams:
-    smoothing_alpha: float = 0.1
+    smoothing_alpha: float = DEFAULT_ALPHA
 
 
 @dataclass
@@ -240,33 +243,22 @@ class Scenario:
             if not isinstance(sub, dict):
                 problems.append(f"{where}: expected an object, got {type(sub).__name__}")
                 return cls()
-            known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+            known = {f.name for f in fields(cls)}
             unknown = set(sub) - known
             if unknown:
                 problems.append(f"{where}: unknown fields {sorted(unknown)}")
             return cls(**{k: v for k, v in sub.items() if k in known})
 
-        top_known = {f.name for f in Scenario.__dataclass_fields__.values()}
+        top_known = {f.name for f in fields(Scenario)}
         unknown = set(data) - top_known
         if unknown:
             problems.append(f"scenario: unknown fields {sorted(unknown)}")
             for k in unknown:
                 data.pop(k)
 
-        if "formation" in data:
-            data["formation"] = build(FormationParams, data["formation"], "formation")
-        if "trust" in data:
-            data["trust"] = build(TrustParams, data["trust"], "trust")
-        if "protocol" in data:
-            data["protocol"] = build(ProtocolParams, data["protocol"], "protocol")
-        if "compromise" in data:
-            data["compromise"] = build(CompromiseSpec, data["compromise"], "compromise")
-        if "workload" in data:
-            data["workload"] = build(WorkloadSpec, data["workload"], "workload")
-        if "old_devices" in data:
-            data["old_devices"] = build(OldDeviceSpec, data["old_devices"], "old_devices")
-        if "study" in data:
-            data["study"] = build(StudySpec, data["study"], "study")
+        for f in fields(Scenario):
+            if is_dataclass(f.default_factory) and f.name in data:
+                data[f.name] = build(f.default_factory, data[f.name], f.name)
         if "apps" in data:
             apps = data["apps"]
             if not isinstance(apps, list):

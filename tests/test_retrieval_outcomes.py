@@ -1,0 +1,118 @@
+"""Every retrieval ends in exactly one of six ways, and the event log,
+the trace and the epoch counters agree on which."""
+
+from collections import Counter
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from test_engine import rich_scenario
+from vouchnet import Simulation
+from vouchnet.apps import AppId
+from vouchnet.events import EV_DECISION, EV_INSTALL, EV_STORE_FETCH
+from vouchnet.messages import (
+    REASON_FINGERPRINT,
+    REASON_INSUFFICIENT,
+    REASON_NO_VERIFIERS,
+    REASON_QUORUM,
+)
+from vouchnet.scenario import AppSpec, Scenario, WorkloadSpec
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+UNDECIDED = {"no-replies", "vote-tie"}
+OUTCOMES = UNDECIDED | {REASON_NO_VERIFIERS, REASON_FINGERPRINT,
+                        REASON_INSUFFICIENT, REASON_QUORUM}
+
+
+
+def hostile_scenario(store_blocked: bool) -> Scenario:
+    """A sparse graph with every adversary and many weak keys, so votes,
+    deliveries and verifications fail in every way but a tie."""
+    sc = Scenario(seed=5, epochs=6, node_count=12, store_blocked=store_blocked,
+                  apps=[AppSpec(name="maps", payload_bytes=64),
+                        AppSpec(name="cam", payload_bytes=32, holders={"fraction": 0.5})],
+                  workload=WorkloadSpec(requests_per_epoch=6))
+    sc.formation.max_degree = 3
+    sc.formation.join_rate = 0.5
+    sc.formation.leave_rate = 0.1
+    sc.protocol.mac_fanout = 4
+    sc.old_devices.fraction = 0.4
+    sc.compromise.fraction = 0.5
+    sc.compromise.mix = {"free_rider": 0.25, "tampered_server": 0.25,
+                         "tocttou_swapper": 0.25, "lying_verifier": 0.25}
+    return sc
+
+
+RUNS = {
+    "rich": rich_scenario,
+    "hostile": lambda: hostile_scenario(store_blocked=False),
+    "hostile_store_blocked": lambda: hostile_scenario(store_blocked=True),
+    **{name: (lambda name=name: Scenario.from_file(SCENARIOS / f"{name}.json"))
+       for name in ("smoke", "tampered_campaign", "community_study")},
+}
+
+
+@cache
+def simulate(name: str) -> Simulation:
+    simulation = Simulation(RUNS[name]())
+    simulation.run()
+    return simulation
+
+
+@pytest.fixture(params=sorted(RUNS))
+def sim(request) -> Simulation:
+    return simulate(request.param)
+
+
+def test_runs_reach_every_outcome():
+    assert {t.reason for name in RUNS for t in simulate(name).traces} == OUTCOMES
+
+
+def kinds(trace) -> Counter:
+    return Counter(record.kind for record in trace.events)
+
+
+def test_reason_is_one_of_six(sim):
+    assert {t.reason for t in sim.traces} <= OUTCOMES
+    for trace in sim.traces:
+        assert trace.accepted == (trace.reason == REASON_QUORUM)
+
+
+def test_decision_logged_unless_the_vote_failed(sim):
+    for trace in sim.traces:
+        decisions = [r for r in trace.events if r.kind == EV_DECISION]
+        if trace.reason in UNDECIDED:
+            assert decisions == []
+        else:
+            assert [r.data["reason"] for r in decisions] == [trace.reason]
+            assert decisions[0].data["accepted"] == str(trace.accepted)
+
+
+def test_store_fetch_exactly_when_rejected_and_store_can_serve(sim):
+    for trace in sim.traces:
+        can_serve = (not sim.scenario.store_blocked
+                     and sim.catalog.has(AppId.parse(trace.app_label)))
+        expected = int(not trace.accepted and can_serve)
+        assert kinds(trace)[EV_STORE_FETCH] == expected
+
+
+def test_one_install_per_acceptance_or_store_fetch(sim):
+    for trace in sim.traces:
+        counts = kinds(trace)
+        assert counts[EV_INSTALL] == int(trace.accepted) + counts[EV_STORE_FETCH]
+        assert counts[EV_INSTALL] <= 1
+
+
+def test_epoch_counters_match_reasons(sim):
+    per_epoch: dict[int, Counter] = {row.epoch: Counter() for row in sim.epoch_rows}
+    for trace in sim.traces:
+        per_epoch[trace.epoch][trace.reason] += 1
+    for row in sim.epoch_rows:
+        reasons = per_epoch[row.epoch]
+        assert row.retrievals == sum(reasons.values())
+        assert row.vote_no_replies == reasons["no-replies"]
+        assert row.vote_ties == reasons["vote-tie"]
+        assert row.tocttou_rejections == reasons[REASON_FINGERPRINT]
+        assert row.accepted == reasons[REASON_QUORUM]
