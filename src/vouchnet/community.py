@@ -24,7 +24,6 @@ SUPERNODE_DEGREE_MULTIPLIER = 4
 class NodeProfile:
     id: int
     node_type: str
-    age: int = 0
     key_length_bits: int = 256
     max_degree: int = DEFAULT_MAX_DEGREE
     is_hub: bool = False
@@ -46,9 +45,7 @@ class FormationParams:
     proposals_per_round: int = 3
     severance_threshold: float = 0.2
     max_degree: int = DEFAULT_MAX_DEGREE
-    joiner_key_bits: int = 256
     supernode_count: int = 0
-    supernode_multiplier: int = SUPERNODE_DEGREE_MULTIPLIER
 
 
 class CommunityGraph:
@@ -259,7 +256,6 @@ def churn(graph: CommunityGraph, params: FormationParams, rng: random.Random,
         node_type = rng.choices(types, weights=weights, k=1)[0]
         nid = graph.allocate_id()
         graph.add_node(NodeProfile(id=nid, node_type=node_type,
-                                   key_length_bits=params.joiner_key_bits,
                                    max_degree=params.max_degree))
         joined.append(nid)
 

@@ -51,7 +51,9 @@ from .events import (
 )
 from .messages import (
     REASON_FINGERPRINT,
+    REASON_NO_REPLIES,
     REASON_NO_VERIFIERS,
+    REASON_VOTE_TIE,
     AcceptanceDecision,
     VerifyReply,
 )
@@ -119,12 +121,11 @@ class Simulation:
         old_ids = set(old_rng.sample(range(n), old_count)) if old_count else set()
 
         for i in range(n):
-            bits = sc.old_devices.key_bits if i in old_ids else sc.default_key_bits
-            self.graph.add_node(NodeProfile(
-                id=i, node_type=type_list[i], key_length_bits=bits,
-                max_degree=sc.formation.max_degree))
-            self.ledgers[i] = Ledger(i, alpha=sc.trust.smoothing_alpha)
-            self.rounds[i] = 0
+            profile = self.graph.add_node(NodeProfile(
+                id=i, node_type=type_list[i], max_degree=sc.formation.max_degree))
+            if i in old_ids:
+                profile.key_length_bits = sc.old_devices.key_bits
+            self.ledgers[i] = Ledger(i)
 
         key_rng = derive_rng(self.seed, "keys")
         if sc.topology == "complete":
@@ -167,27 +168,23 @@ class Simulation:
             holders = sorted(set(holders) | set(pre))
 
             # Compromised servers and swappers hold corrupted copies from
-            # the start; one shared campaign variant unless configured
-            # otherwise.
+            # the start: one variant per app, as a single campaign would
+            # produce.
             serving = [h for h in holders
                        if self.behaviors.get(h) in (Behavior.TAMPERED_SERVER,
                                                     Behavior.TOCTTOU_SWAPPER)]
-            campaign: AppPackage | None = None
-            if serving and sc.compromise.shared_payload:
+            if serving:
                 campaign = tamper(clean, adversary=min(serving),
                                   rng=derive_rng(self.seed, "campaign", spec.label()),
                                   width_bits=self.width)
 
             for h in holders:
-                if h in pre and h not in serving:
+                if h in serving:
+                    pkg = campaign
+                elif h in pre:
                     pkg = tamper(clean, adversary=h,
                                  rng=derive_rng(self.seed, "tamper", spec.label(), h),
                                  width_bits=self.width)
-                elif h in serving:
-                    pkg = campaign if campaign is not None else tamper(
-                        clean, adversary=h,
-                        rng=derive_rng(self.seed, "campaign", spec.label(), h),
-                        width_bits=self.width)
                 else:
                     pkg = clean
                 self.installs.install(h, pkg)
@@ -289,10 +286,10 @@ class Simulation:
             outcome = majority_vote(kept)
         except NoSourceError:
             row.vote_no_replies += 1
-            return "no-replies", None
+            return REASON_NO_REPLIES, None
         except NoMajorityError:
             row.vote_ties += 1
-            return "vote-tie", None
+            return REASON_VOTE_TIE, None
 
         self._log(EV_VOTE, {"app": trace.app_label,
                             "majority": outcome.majority_digest.hex(),
@@ -345,7 +342,6 @@ class Simulation:
                               payload=delivered.payload,
                               claimed_digest=delivered.fingerprint(self.width),
                               macs=auth.macs)
-        trace.mac_count = len(auth.macs)
         trace.payload_bytes = len(auth.payload)
         self._log(EV_DELIVERY, {"sender": auth.sender,
                                 "claimed": auth.claimed_digest.hex(),
@@ -399,13 +395,7 @@ class Simulation:
         if self.scenario.store_blocked:
             return
         for node, label in sorted(self.flagged):
-            if node not in self.graph.nodes:
-                continue
-            app_id = AppId.parse(label)
-            if not self.catalog.has(app_id):
-                continue
-            clean = self.catalog.clean_package(app_id)
-            self.installs.install(node, clean)
+            self.installs.install(node, self.catalog.clean_package(AppId.parse(label)))
             self._log(EV_STORE_REFRESH, {"node": node, "app": label})
         self.flagged.clear()
 
@@ -415,9 +405,6 @@ class Simulation:
         row = metrics_mod.EpochMetrics(epoch=epoch)
         self.epoch_rows.append(row)
 
-        for node in self.graph.node_ids():
-            self.graph.nodes[node].age += 1
-
         self._refresh_flagged()
 
         summary = churn(self.graph, sc.formation, derive_rng(self.seed, "churn", epoch),
@@ -426,15 +413,13 @@ class Simulation:
             self.installs.uninstall_node(node)
             self.ledgers.pop(node, None)
             self.rounds.pop(node, None)
-            self.flagged = {(n, a) for n, a in self.flagged if n != node}
             self._log(EV_LEAVE, {"node": node})
         gone = set(summary.left)
         for ledger in self.ledgers.values():
             for peer in gone.intersection(ledger.known_peers()):
                 ledger.drop_peer(peer)
         for node in summary.joined:
-            self.ledgers[node] = Ledger(node, alpha=sc.trust.smoothing_alpha)
-            self.rounds[node] = 0
+            self.ledgers[node] = Ledger(node)
             self.behaviors[node] = Behavior.HONEST
             self._log(EV_JOIN, {"node": node, "type": self.graph.nodes[node].node_type})
         for a, b in summary.severed:
@@ -450,21 +435,19 @@ class Simulation:
         row.links_formed = len(formed)
 
         if sc.formation.supernode_count > 0:
-            designate_supernodes(self.graph, sc.formation.supernode_count,
-                                 sc.formation.supernode_multiplier)
+            designate_supernodes(self.graph, sc.formation.supernode_count)
 
         requests: list[tuple[int, AppId]] = []
         for entry in sc.workload.explicit:
             if entry["epoch"] == epoch and entry["requester"] in self.graph.nodes:
                 requests.append((entry["requester"], AppId.parse(entry["app"])))
-        if sc.workload.requests_per_epoch and self.catalog.app_ids() and len(self.graph):
+        app_ids = self.catalog.app_ids()
+        if sc.workload.requests_per_epoch and app_ids and len(self.graph):
             wl_rng = derive_rng(self.seed, "workload", epoch)
-            labels = [a.label() for a in self.catalog.app_ids()]
             node_ids = self.graph.node_ids()
             for _ in range(sc.workload.requests_per_epoch):
                 requester = wl_rng.choice(node_ids)
-                label = wl_rng.choice(labels)
-                requests.append((requester, AppId.parse(label)))
+                requests.append((requester, wl_rng.choice(app_ids)))
         for requester, app_id in requests:
             self.execute_retrieval(epoch, requester, app_id, row)
 

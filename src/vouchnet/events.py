@@ -70,10 +70,6 @@ class EventLog:
         self.records: list[EventRecord] = []
         self._tick = 0
 
-    @property
-    def tick(self) -> int:
-        return self._tick
-
     def advance_tick(self) -> int:
         """Each protocol message costs one tick."""
         self._tick += 1
@@ -114,4 +110,3 @@ class RetrievalTrace:
     infected_install: bool = False
     payload_bytes: int = 0
     responders: int = 0
-    mac_count: int = 0

@@ -12,7 +12,10 @@ from .apps import AppId
 from .crypto import Digest, MacTag
 from .wire import encode_fields
 
-# Acceptance decision reasons.
+# Why a retrieval ended. The first two end it before a source is chosen;
+# the other four are acceptance decision reasons.
+REASON_NO_REPLIES = "no-replies"
+REASON_VOTE_TIE = "vote-tie"
 REASON_QUORUM = "quorum-reached"
 REASON_INSUFFICIENT = "insufficient-verdicts"
 REASON_FINGERPRINT = "fingerprint-mismatch"

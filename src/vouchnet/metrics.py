@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .events import EV_DELIVERY, EV_REPLY, EV_VERIFY_REPLY, EV_VERIFY_REQ, RetrievalTrace
@@ -97,6 +97,16 @@ def bandwidth_table(peers: int, width_bits: int) -> dict[str, int]:
     }
 
 
+def _csv(cls, rows) -> str:
+    """One header line of ``cls``'s field names, then one line per row."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(cls)])
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(asdict(row))
+    return buf.getvalue()
+
+
 @dataclass
 class MetricsReport:
     parameters: dict
@@ -154,22 +164,10 @@ class MetricsReport:
         return lines
 
     def epoch_csv(self) -> str:
-        buf = io.StringIO()
-        fields = [f for f in EpochMetrics.__dataclass_fields__]
-        writer = csv.DictWriter(buf, fieldnames=fields)
-        writer.writeheader()
-        for row in self.epochs:
-            writer.writerow(asdict(row))
-        return buf.getvalue()
+        return _csv(EpochMetrics, self.epochs)
 
     def overhead_csv(self) -> str:
-        buf = io.StringIO()
-        fields = [f for f in OverheadRecord.__dataclass_fields__]
-        writer = csv.DictWriter(buf, fieldnames=fields)
-        writer.writeheader()
-        for rec in self.overhead:
-            writer.writerow(asdict(rec))
-        return buf.getvalue()
+        return _csv(OverheadRecord, self.overhead)
 
     def write(self, out_dir: str | Path) -> None:
         out = Path(out_dir)

@@ -17,7 +17,6 @@ from .community import FormationParams
 from .crypto import DEFAULT_WIDTH_BITS, MIN_KEY_BITS, SUPPORTED_WIDTHS
 from .errors import ScenarioError, UnknownParameterError
 from .multipath import DEFAULT_MAC_FANOUT, DEFAULT_QUORUM
-from .trust import DEFAULT_ALPHA
 
 SCHEMA_VERSION = 1
 
@@ -35,11 +34,6 @@ class ProtocolParams:
     # instead of binding the delivery to a prior vote. Used by studies that
     # measure what the verifier quorum achieves on its own.
     vote_binding: bool = True
-
-
-@dataclass
-class TrustParams:
-    smoothing_alpha: float = DEFAULT_ALPHA
 
 
 @dataclass
@@ -61,9 +55,6 @@ class AppSpec:
 class CompromiseSpec:
     fraction: float = 0.0
     mix: dict[str, float] = field(default_factory=dict)
-    # One corrupted variant per app shared by all compromised holders, as a
-    # single campaign would produce. False gives each node its own variant.
-    shared_payload: bool = True
 
 
 @dataclass
@@ -97,9 +88,7 @@ class Scenario:
     type_distribution: dict[str, float] = field(default_factory=lambda: {"default": 1.0})
     topology: str = "none"                 # "none" | "complete"
     initial_edges: list[list[int]] = field(default_factory=list)
-    default_key_bits: int = 256
     formation: FormationParams = field(default_factory=FormationParams)
-    trust: TrustParams = field(default_factory=TrustParams)
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
     apps: list[AppSpec] = field(default_factory=list)
     compromise: CompromiseSpec = field(default_factory=CompromiseSpec)
@@ -149,13 +138,9 @@ class Scenario:
         check(f.proposals_per_round >= 0, "formation.proposals_per_round: negative")
         check(f.max_degree >= 1, "formation.max_degree: must be at least 1")
         check(f.supernode_count >= 0, "formation.supernode_count: negative")
-        check(f.supernode_multiplier >= 1, "formation.supernode_multiplier: below 1")
         check(f.link_cost >= 0.0, f"formation.link_cost: {f.link_cost} negative")
         check(0.0 <= f.severance_threshold <= 1.0,
               f"formation.severance_threshold: {f.severance_threshold} outside [0, 1]")
-
-        check(0.0 < self.trust.smoothing_alpha <= 1.0,
-              f"trust.smoothing_alpha: {self.trust.smoothing_alpha} outside (0, 1]")
 
         p = self.protocol
         check(p.digest_width_bits in SUPPORTED_WIDTHS,
@@ -219,8 +204,6 @@ class Scenario:
               f"old_devices.fraction: {self.old_devices.fraction} outside [0, 1]")
         check(self.old_devices.key_bits >= 8 and self.old_devices.key_bits % 8 == 0,
               "old_devices.key_bits: must be a positive byte multiple")
-        check(self.default_key_bits >= 8 and self.default_key_bits % 8 == 0,
-              "default_key_bits: must be a positive byte multiple")
 
         s = self.study
         check(s.verifier_compromise_p is None or 0.0 <= s.verifier_compromise_p <= 1.0,
