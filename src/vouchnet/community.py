@@ -53,8 +53,8 @@ class CommunityGraph:
 
     def __init__(self) -> None:
         self.nodes: dict[int, NodeProfile] = {}
+        # A node's key store is its adjacency: one key per live link.
         self.keystores: dict[int, KeyStore] = {}
-        self._adj: dict[int, set[int]] = {}
         self._next_id = 0
 
     # -- nodes ---------------------------------------------------------
@@ -64,7 +64,6 @@ class CommunityGraph:
             raise ConfigurationError(f"node {profile.id} already exists")
         self.nodes[profile.id] = profile
         self.keystores[profile.id] = KeyStore()
-        self._adj[profile.id] = set()
         self._next_id = max(self._next_id, profile.id + 1)
         return profile
 
@@ -74,11 +73,8 @@ class CommunityGraph:
         return nid
 
     def remove_node(self, node: int) -> None:
-        for neighbor in sorted(self._adj[node]):
+        for neighbor in self.keystores.pop(node):
             self.keystores[neighbor].remove(node)
-            self._adj[neighbor].discard(node)
-        del self._adj[node]
-        del self.keystores[node]
         del self.nodes[node]
 
     def node_ids(self) -> list[int]:
@@ -90,7 +86,7 @@ class CommunityGraph:
     # -- edges ---------------------------------------------------------
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self._adj.get(a, ())
+        return b in self.keystores.get(a, ())
 
     def add_edge(self, a: int, b: int, rng: random.Random) -> None:
         """Link two nodes and install their shared key."""
@@ -104,27 +100,22 @@ class CommunityGraph:
         # The shared key can only be as strong as the weaker device allows.
         bits = min(pa.key_length_bits, pb.key_length_bits)
         pair(a, b, self.keystores[a], self.keystores[b], rng, length_bits=bits)
-        self._adj[a].add(b)
-        self._adj[b].add(a)
 
     def remove_edge(self, a: int, b: int) -> None:
-        self._adj[a].discard(b)
-        self._adj[b].discard(a)
         self.keystores[a].remove(b)
         self.keystores[b].remove(a)
 
     def neighbors(self, node: int) -> list[int]:
-        return sorted(self._adj[node])
+        return self.keystores[node].neighbors()
 
     def degree(self, node: int) -> int:
-        return len(self._adj[node])
+        return len(self.keystores[node])
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted((min(a, b), max(a, b))
-                      for a in self._adj for b in self._adj[a] if a < b)
+        return sorted((a, b) for a, store in self.keystores.items() for b in store if a < b)
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj.values()) // 2
+        return sum(len(store) for store in self.keystores.values()) // 2
 
     def reachable_from(self, start: int, hop_limit: int | None = None) -> list[int]:
         """Nodes reachable from ``start`` (excluded) within the hop limit."""
@@ -136,7 +127,7 @@ class CommunityGraph:
             hops += 1
             nxt: list[int] = []
             for node in frontier:
-                for nb in sorted(self._adj[node]):
+                for nb in self.keystores[node]:
                     if nb not in seen:
                         seen.add(nb)
                         out.append(nb)

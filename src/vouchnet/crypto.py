@@ -106,29 +106,27 @@ def verify_mac(key: MacKey, message: bytes, tag: MacTag,
     return _hmac.compare_digest(expected.tag, tag.tag)
 
 
-class KeyStore:
-    """Per-device map of neighbor id to the shared pairwise key."""
+class KeyStore(dict[int, MacKey]):
+    """Per-device map of neighbor id to the shared pairwise key.
 
-    def __init__(self) -> None:
-        self._keys: dict[int, MacKey] = {}
+    A plain dict underneath, so ``neighbor in store`` and ``len(store)``
+    cost one C-level lookup: the community graph reads its links from here.
+    """
 
     def install(self, neighbor: int, key: MacKey) -> None:
-        self._keys[neighbor] = key
+        self[neighbor] = key
 
     def key_for(self, neighbor: int) -> MacKey:
-        return self._keys[neighbor]
+        return self[neighbor]
 
     def has(self, neighbor: int) -> bool:
-        return neighbor in self._keys
+        return neighbor in self
 
     def remove(self, neighbor: int) -> None:
-        self._keys.pop(neighbor, None)
+        self.pop(neighbor, None)
 
     def neighbors(self) -> list[int]:
-        return sorted(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
+        return sorted(self)
 
 
 def pair(a: int, b: int, store_a: KeyStore, store_b: KeyStore,

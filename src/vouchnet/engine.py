@@ -103,14 +103,16 @@ class Simulation:
         sc = self.scenario
         n = sc.node_count
 
-        # Deterministic type allocation: largest-remainder over sorted
-        # labels, assigned to ids in order. Balanced weights give exactly
-        # balanced communities instead of a binomial approximation.
+        # Deterministic type allocation by largest remainder: each label gets
+        # its quota rounded down, leftover ids go to the largest remainders
+        # (ties to the smaller label), and ids are assigned in label order.
+        # Balanced weights give exactly balanced communities.
         labels = sorted(sc.type_distribution)
         total_w = sum(sc.type_distribution[t] for t in labels)
-        counts = {t: math.floor(sc.type_distribution[t] / total_w * n) for t in labels}
+        quotas = {t: sc.type_distribution[t] / total_w * n for t in labels}
+        counts = {t: math.floor(quotas[t]) for t in labels}
         leftover = n - sum(counts.values())
-        for t in labels[:leftover]:
+        for t in sorted(labels, key=lambda t: (counts[t] - quotas[t], t))[:leftover]:
             counts[t] += 1
         type_list: list[str] = []
         for t in labels:
@@ -199,27 +201,17 @@ class Simulation:
     def _interceptor(self, node: int, message: object):
         return intercept(self._behavior(node), message, self.ictx)
 
-    def _log(self, kind: str, data: dict, bits: int = 0, message: bool = False,
-             trace: RetrievalTrace | None = None):
-        retrieval = trace.retrieval if trace is not None else None
-        record = self.log.append(kind, {k: str(v) for k, v in data.items()},
-                                 bits=bits, retrieval=retrieval, message=message)
-        if trace is not None:
-            trace.events.append(record)
-        return record
-
     def _decided(self, trace: RetrievalTrace, decision: AcceptanceDecision) -> str:
-        self._log(EV_DECISION, {"accepted": decision.accepted, "reason": decision.reason,
-                                "positives": decision.positives,
-                                "polled": decision.total_polled}, trace=trace)
+        self.log.append(EV_DECISION, {"accepted": decision.accepted, "reason": decision.reason,
+                                      "positives": decision.positives,
+                                      "polled": decision.total_polled}, trace=trace)
         return decision.reason
 
     def _install(self, trace: RetrievalTrace, package: AppPackage) -> None:
         self.installs.install(trace.requester, package)
-        self._log(EV_INSTALL, {"node": trace.requester, "app": trace.app_label,
-                               "origin": package.origin,
-                               "digest": package.fingerprint(self.width).hex()},
-                  trace=trace)
+        self.log.append(EV_INSTALL, {"node": trace.requester, "app": trace.app_label,
+                                     "origin": package.origin,
+                                     "digest": package.fingerprint(self.width).hex()}, trace=trace)
 
     # -- one retrieval -----------------------------------------------------
 
@@ -242,8 +234,8 @@ class Simulation:
                 row.tampered_accepted += 1
             self._install(trace, package)
         elif not self.scenario.store_blocked and self.catalog.has(app_id):
-            self._log(EV_STORE_FETCH, {"node": requester, "app": trace.app_label,
-                                       "reason": trace.reason}, trace=trace)
+            self.log.append(EV_STORE_FETCH, {"node": requester, "app": trace.app_label,
+                                             "reason": trace.reason}, trace=trace)
             self._install(trace, self.catalog.clean_package(app_id))
         return trace
 
@@ -260,13 +252,11 @@ class Simulation:
             requester, app_id, self.rounds[requester], self.graph, self.installs,
             width_bits=self.width, hop_limit=sc.protocol.hop_limit,
             interceptor=self._interceptor)
-        self._log(EV_CALL_OUT, {"requester": requester, "app": trace.app_label,
-                                "round": self.rounds[requester]},
-                  message=True, trace=trace)
+        self.log.append(EV_CALL_OUT, {"requester": requester, "app": trace.app_label,
+                                      "round": self.rounds[requester]}, trace=trace)
         for reply in replies:
-            self._log(EV_REPLY, {"responder": reply.responder,
-                                 "digest": reply.digest.hex()},
-                      bits=self.width, message=True, trace=trace)
+            self.log.append(EV_REPLY, {"responder": reply.responder,
+                                       "digest": reply.digest.hex()}, trace=trace)
         trace.responders = len(replies)
 
         responded = {r.responder for r in replies}
@@ -277,9 +267,8 @@ class Simulation:
         kept = filter_old_devices(replies, sc.protocol.min_key_bits)
         for reply in replies:
             if reply not in kept:
-                self._log(EV_OLD_FILTERED, {"responder": reply.responder,
-                                            "key_bits": reply.key_length_bits},
-                          trace=trace)
+                self.log.append(EV_OLD_FILTERED, {"responder": reply.responder,
+                                                  "key_bits": reply.key_length_bits}, trace=trace)
                 row.old_filtered += 1
 
         try:
@@ -291,12 +280,11 @@ class Simulation:
             row.vote_ties += 1
             return REASON_VOTE_TIE, None
 
-        self._log(EV_VOTE, {"app": trace.app_label,
-                            "majority": outcome.majority_digest.hex(),
-                            "supporters": _ids_csv(outcome.supporters),
-                            "dissenters": _ids_csv(outcome.dissenters),
-                            "unanimous": outcome.unanimous},
-                  trace=trace)
+        self.log.append(EV_VOTE, {"app": trace.app_label,
+                                  "majority": outcome.majority_digest.hex(),
+                                  "supporters": _ids_csv(outcome.supporters),
+                                  "dissenters": _ids_csv(outcome.dissenters),
+                                  "unanimous": outcome.unanimous}, trace=trace)
         if outcome.unanimous:
             row.vote_unanimous += 1
         else:
@@ -308,10 +296,9 @@ class Simulation:
                                responders=outcome.responders)
 
         for notice in notify_dissenters(outcome, requester):
-            self._log(EV_NOTICE, {"target": notice.target,
-                                  "suspected": notice.suspected_digest.hex(),
-                                  "majority": notice.majority_digest.hex()},
-                      message=True, trace=trace)
+            self.log.append(EV_NOTICE, {"target": notice.target,
+                                        "suspected": notice.suspected_digest.hex(),
+                                        "majority": notice.majority_digest.hex()}, trace=trace)
             row.notices += 1
             self.flagged.add((notice.target, trace.app_label))
             held = self.installs.get(notice.target, app_id)
@@ -319,7 +306,7 @@ class Simulation:
                 row.false_accusations += 1
 
         source = choose_source(outcome, rng)
-        self._log(EV_SOURCE, {"source": source}, trace=trace)
+        self.log.append(EV_SOURCE, {"source": source}, trace=trace)
 
         package = self.installs.get(source, app_id)
         assert package is not None, "vote supporters always hold the app"
@@ -343,11 +330,10 @@ class Simulation:
                               claimed_digest=delivered.fingerprint(self.width),
                               macs=auth.macs)
         trace.payload_bytes = len(auth.payload)
-        self._log(EV_DELIVERY, {"sender": auth.sender,
-                                "claimed": auth.claimed_digest.hex(),
-                                "macs": len(auth.macs),
-                                "payload_bytes": len(auth.payload)},
-                  bits=len(auth.macs) * self.width, message=True, trace=trace)
+        self.log.append(EV_DELIVERY, {"sender": auth.sender,
+                                      "claimed": auth.claimed_digest.hex(),
+                                      "macs": len(auth.macs),
+                                      "payload_bytes": len(auth.payload)}, trace=trace)
 
         expected = outcome.majority_digest if sc.protocol.vote_binding else auth.claimed_digest
         if not toc_tou_check(auth, expected):
@@ -371,12 +357,10 @@ class Simulation:
                                           min_key_bits=sc.protocol.min_key_bits)
         replied = {v.verifier for v in verdicts}
         for request in requests:
-            self._log(EV_VERIFY_REQ, {"verifier": request.verifier},
-                      bits=self.width, message=True, trace=trace)
+            self.log.append(EV_VERIFY_REQ, {"verifier": request.verifier}, trace=trace)
         for verdict in verdicts:
-            self._log(EV_VERIFY_REPLY, {"verifier": verdict.verifier,
-                                        "verdict": verdict.verdict},
-                      bits=self.width, message=True, trace=trace)
+            self.log.append(EV_VERIFY_REPLY, {"verifier": verdict.verifier,
+                                              "verdict": verdict.verdict}, trace=trace)
         for verifier in auth.verifier_ids():
             if verifier != requester:
                 update_response(ledger, verifier, verifier in replied)
@@ -396,12 +380,12 @@ class Simulation:
             return
         for node, label in sorted(self.flagged):
             self.installs.install(node, self.catalog.clean_package(AppId.parse(label)))
-            self._log(EV_STORE_REFRESH, {"node": node, "app": label})
+            self.log.append(EV_STORE_REFRESH, {"node": node, "app": label})
         self.flagged.clear()
 
     def _run_epoch(self, epoch: int) -> None:
         sc = self.scenario
-        self._log(EV_EPOCH, {"epoch": epoch})
+        self.log.append(EV_EPOCH, {"epoch": epoch})
         row = metrics_mod.EpochMetrics(epoch=epoch)
         self.epoch_rows.append(row)
 
@@ -413,7 +397,7 @@ class Simulation:
             self.installs.uninstall_node(node)
             self.ledgers.pop(node, None)
             self.rounds.pop(node, None)
-            self._log(EV_LEAVE, {"node": node})
+            self.log.append(EV_LEAVE, {"node": node})
         gone = set(summary.left)
         for ledger in self.ledgers.values():
             for peer in gone.intersection(ledger.known_peers()):
@@ -421,9 +405,9 @@ class Simulation:
         for node in summary.joined:
             self.ledgers[node] = Ledger(node)
             self.behaviors[node] = Behavior.HONEST
-            self._log(EV_JOIN, {"node": node, "type": self.graph.nodes[node].node_type})
+            self.log.append(EV_JOIN, {"node": node, "type": self.graph.nodes[node].node_type})
         for a, b in summary.severed:
-            self._log(EV_SEVER, {"a": a, "b": b})
+            self.log.append(EV_SEVER, {"a": a, "b": b})
         row.joins = len(summary.joined)
         row.leaves = len(summary.left)
         row.severed = len(summary.severed)
@@ -431,7 +415,7 @@ class Simulation:
         formed = propose_and_approve(self.graph, sc.formation, self.ledgers,
                                      derive_rng(self.seed, "formation", epoch))
         for a, b in formed:
-            self._log(EV_LINK, {"a": a, "b": b})
+            self.log.append(EV_LINK, {"a": a, "b": b})
         row.links_formed = len(formed)
 
         if sc.formation.supernode_count > 0:
@@ -473,7 +457,7 @@ class Simulation:
         for epoch in range(self.scenario.epochs):
             self._run_epoch(epoch)
         report = metrics_mod.MetricsReport(
-            parameters={"seed": self.seed, **self.scenario.to_dict()},
+            parameters={**self.scenario.to_dict(), "seed": self.seed},
             assumptions=list(RUN_ASSUMPTIONS),
             epochs=self.epoch_rows,
             overhead=[metrics_mod.account_overhead(t) for t in self.traces],

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from .crypto import DEFAULT_WIDTH_BITS, Digest, fingerprint
 from .wire import encode_fields
 
-# Event kinds. Message-kind events carry nonzero cost-model bits and belong
-# to exactly one retrieval; bookkeeping events carry zero bits.
+# Event kinds. The six protocol-message kinds each advance the tick and
+# belong to one retrieval; the other kinds are bookkeeping and never tick.
 EV_EPOCH = "epoch"
 EV_JOIN = "join"
 EV_LEAVE = "leave"
@@ -33,7 +33,14 @@ EV_DECISION = "decision"
 EV_INSTALL = "install"
 EV_STORE_FETCH = "store_fetch"
 
-MESSAGE_KINDS = frozenset({EV_REPLY, EV_DELIVERY, EV_VERIFY_REQ, EV_VERIFY_REPLY})
+MESSAGE_KINDS = frozenset({EV_CALL_OUT, EV_REPLY, EV_NOTICE, EV_DELIVERY,
+                           EV_VERIFY_REQ, EV_VERIFY_REPLY})
+
+# Digest-width units a message costs on the wire: one per fingerprint reply,
+# verification request and verification reply, and one per MAC a delivery
+# carries (its ``macs`` field). A call-out, a notice and every bookkeeping
+# event cost nothing.
+_UNIT_KINDS = frozenset({EV_REPLY, EV_VERIFY_REQ, EV_VERIFY_REPLY})
 
 
 @dataclass(frozen=True)
@@ -70,17 +77,23 @@ class EventLog:
         self.records: list[EventRecord] = []
         self._tick = 0
 
-    def advance_tick(self) -> int:
-        """Each protocol message costs one tick."""
-        self._tick += 1
-        return self._tick
-
-    def append(self, kind: str, data: dict[str, str], bits: int = 0,
-               retrieval: int | None = None, message: bool = False) -> EventRecord:
-        tick = self.advance_tick() if message else self._tick
-        record = EventRecord(tick=tick, kind=kind, data=dict(data),
-                             bits=bits, retrieval=retrieval)
+    def append(self, kind: str, data: dict, trace: RetrievalTrace | None = None) -> EventRecord:
+        """Record one event: tick it if it is a protocol message, price it
+        in digest units, store its values as strings, and file it under
+        ``trace``'s retrieval when one is given."""
+        if kind in MESSAGE_KINDS:
+            self._tick += 1
+        if kind == EV_DELIVERY:
+            units = int(data["macs"])
+        else:
+            units = 1 if kind in _UNIT_KINDS else 0
+        record = EventRecord(tick=self._tick, kind=kind,
+                             data={k: str(v) for k, v in data.items()},
+                             bits=units * self.width_bits,
+                             retrieval=trace.retrieval if trace is not None else None)
         self.records.append(record)
+        if trace is not None:
+            trace.events.append(record)
         return record
 
     def by_kind(self, kind: str) -> list[EventRecord]:

@@ -1,6 +1,7 @@
 """Run metrics: per-epoch counters, per-retrieval overhead, trust samples.
 
-Overhead follows the digest-unit cost model: every fingerprint reply, MAC,
+Overhead follows the digest-unit cost model, which ``EventLog.append``
+applies to every message it logs: each fingerprint reply, MAC,
 verification request, and verification reply costs exactly one digest
 width on the wire. Payload bytes ride outside that model and are reported
 separately.

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .apps import AppPackage
 from .community import CommunityGraph
-from .crypto import MIN_KEY_BITS, Digest, fingerprint, verify_mac, mac
+from .crypto import DEFAULT_WIDTH_BITS, MIN_KEY_BITS, Digest, fingerprint, verify_mac, mac
 from .errors import KeyMismatchError, NoVerifiersError, VouchnetError
 from .messages import (
     REASON_INSUFFICIENT,
@@ -34,7 +34,7 @@ DEFAULT_QUORUM = 0.5
 def build_auth_package(sender: int, package: AppPackage, graph: CommunityGraph,
                        fanout: int = DEFAULT_MAC_FANOUT,
                        rng: random.Random | None = None,
-                       width_bits: int | None = None,
+                       width_bits: int = DEFAULT_WIDTH_BITS,
                        min_key_bits: int = MIN_KEY_BITS) -> AuthPackage:
     """Wrap a package with MACs for min(fanout, usable neighbors) peers.
 
@@ -42,8 +42,6 @@ def build_auth_package(sender: int, package: AppPackage, graph: CommunityGraph,
     anything and are skipped. No usable neighbor at all means the delivery
     cannot be authenticated.
     """
-    if width_bits is None:
-        width_bits = package.fingerprint().width_bits
     store = graph.keystores[sender]
     usable = [n for n in graph.neighbors(sender)
               if store.key_for(n).length_bits >= min_key_bits]

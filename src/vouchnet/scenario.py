@@ -162,8 +162,7 @@ class Scenario:
                 check(isinstance(frac, (int, float)) and 0.0 <= frac <= 1.0,
                       f"apps.{a.name}.holders: bad fraction {a.holders!r}")
             elif isinstance(a.holders, list):
-                check(all(isinstance(h, int) and 0 <= h < self.node_count for h in a.holders),
-                      f"apps.{a.name}.holders: ids out of range")
+                check(self._ids_in_range(a.holders), f"apps.{a.name}.holders: ids out of range")
             else:
                 check(a.holders == "all",
                       f"apps.{a.name}.holders: expected 'all', list, or fraction")
@@ -171,9 +170,11 @@ class Scenario:
                 frac = a.tampered_holders.get("fraction")
                 check(isinstance(frac, (int, float)) and 0.0 <= frac <= 1.0,
                       f"apps.{a.name}.tampered_holders: bad fraction")
+            elif isinstance(a.tampered_holders, list):
+                check(self._ids_in_range(a.tampered_holders),
+                      f"apps.{a.name}.tampered_holders: ids out of range")
             else:
-                check(isinstance(a.tampered_holders, list),
-                      f"apps.{a.name}.tampered_holders: expected list or fraction")
+                problems.append(f"apps.{a.name}.tampered_holders: expected list or fraction")
 
         c = self.compromise
         check(0.0 <= c.fraction <= 1.0, f"compromise.fraction: {c.fraction} outside [0, 1]")
@@ -211,6 +212,9 @@ class Scenario:
 
         if problems:
             raise ScenarioError(problems)
+
+    def _ids_in_range(self, ids: list) -> bool:
+        return all(isinstance(i, int) and 0 <= i < self.node_count for i in ids)
 
     # -- serialization ---------------------------------------------------
 

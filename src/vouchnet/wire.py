@@ -15,10 +15,7 @@ _TAG_STR = b"s"
 def encode_fields(*fields: bytes | int | str) -> bytes:
     out = bytearray()
     for field in fields:
-        if isinstance(field, bool):
-            raw = struct.pack(">q", int(field))
-            tag = _TAG_INT
-        elif isinstance(field, int):
+        if isinstance(field, int):
             raw = struct.pack(">q", field)
             tag = _TAG_INT
         elif isinstance(field, bytes):

@@ -1,0 +1,119 @@
+"""The event log prices and ticks its own events, and a graph's links are
+its key stores."""
+
+import random
+
+import pytest
+
+from test_retrieval_outcomes import simulate
+from vouchnet.community import CommunityGraph, NodeProfile
+from vouchnet.events import (
+    EV_CALL_OUT,
+    EV_DELIVERY,
+    EV_EPOCH,
+    EV_INSTALL,
+    EV_NOTICE,
+    EV_REPLY,
+    EV_VERIFY_REPLY,
+    EV_VERIFY_REQ,
+    EV_VOTE,
+    MESSAGE_KINDS,
+    EventLog,
+    RetrievalTrace,
+)
+
+UNIT_KINDS = {EV_REPLY, EV_VERIFY_REQ, EV_VERIFY_REPLY}
+
+
+def expected_bits(kind: str, data: dict, width: int) -> int:
+    if kind == EV_DELIVERY:
+        return int(data["macs"]) * width
+    return width if kind in UNIT_KINDS else 0
+
+
+def test_message_kinds_are_the_six_protocol_messages():
+    assert MESSAGE_KINDS == {EV_CALL_OUT, EV_REPLY, EV_NOTICE, EV_DELIVERY,
+                             EV_VERIFY_REQ, EV_VERIFY_REPLY}
+
+
+def test_only_message_kinds_advance_the_tick():
+    log = EventLog(width_bits=224)
+    ticks = [log.append(kind, {}).tick
+             for kind in (EV_EPOCH, EV_CALL_OUT, EV_VOTE, EV_NOTICE, EV_INSTALL, EV_REPLY)]
+    assert ticks == [0, 1, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("width", [224, 256])
+def test_append_prices_in_digest_units(width):
+    log = EventLog(width_bits=width)
+    assert log.append(EV_CALL_OUT, {"requester": 0}).bits == 0
+    assert log.append(EV_NOTICE, {"target": 1}).bits == 0
+    assert log.append(EV_VOTE, {"app": "m@1"}).bits == 0
+    for kind in sorted(UNIT_KINDS):
+        assert log.append(kind, {"verifier": 2}).bits == width
+    assert log.append(EV_DELIVERY, {"sender": 3, "macs": 4}).bits == 4 * width
+    assert log.append(EV_DELIVERY, {"sender": 3, "macs": 0}).bits == 0
+
+
+def test_append_stores_strings_and_files_under_the_trace():
+    log = EventLog()
+    trace = RetrievalTrace(retrieval=5, epoch=0, requester=1, app_label="m@1")
+    record = log.append(EV_VOTE, {"unanimous": True, "supporters": 0}, trace=trace)
+    loose = log.append(EV_EPOCH, {"epoch": 1})
+    assert record.data == {"unanimous": "True", "supporters": "0"}
+    assert record.retrieval == 5
+    assert trace.events == [record]
+    assert loose.retrieval is None
+    assert log.records == [record, loose]
+
+
+@pytest.mark.parametrize("name", ["hostile", "rich", "community_study"])
+def test_whole_run_bits_and_ticks_follow_the_kind(name):
+    sim = simulate(name)
+    tick = 0
+    for record in sim.log.records:
+        if record.kind in MESSAGE_KINDS:
+            tick += 1
+        assert record.tick == tick, record
+        assert record.bits == expected_bits(record.kind, record.data, sim.width), record
+    for trace in sim.traces:
+        assert all(e.retrieval == trace.retrieval for e in trace.events)
+
+
+def graph_of(n: int) -> CommunityGraph:
+    g = CommunityGraph()
+    for i in range(n):
+        g.add_node(NodeProfile(id=i, node_type="t"))
+    return g
+
+
+def test_key_store_is_the_adjacency():
+    g = graph_of(4)
+    rng = random.Random(0)
+    for a, b in [(0, 1), (0, 2), (2, 3)]:
+        g.add_edge(a, b, rng)
+    assert g.edges() == [(0, 1), (0, 2), (2, 3)]
+    assert g.edge_count() == 3
+    # A key gone from one side takes that side's view of the link with it.
+    g.keystores[0].remove(2)
+    assert not g.has_edge(0, 2)
+    assert g.has_edge(2, 0)
+    assert g.neighbors(0) == [1]
+    assert g.degree(0) == 1
+    assert g.reachable_from(0) == [1]
+
+
+@pytest.mark.parametrize("name", ["hostile", "rich", "community_study"])
+def test_whole_run_links_are_symmetric(name):
+    stores = simulate(name).graph.keystores
+    one_sided = [(a, b) for a, store in stores.items() for b in store if a not in stores[b]]
+    assert one_sided == []
+
+
+def test_has_edge_of_an_unknown_node_is_false():
+    g = graph_of(2)
+    g.add_edge(0, 1, random.Random(0))
+    g.remove_node(1)
+    assert not g.has_edge(1, 0)
+    assert g.degree(0) == 0
+    assert set(g.keystores) == {0}
