@@ -265,8 +265,9 @@ class Simulation:
             update_response(ledger, node, node in responded)
 
         kept = filter_old_devices(replies, sc.protocol.min_key_bits)
+        kept_ids = {r.responder for r in kept}
         for reply in replies:
-            if reply not in kept:
+            if reply.responder not in kept_ids:
                 self.log.append(EV_OLD_FILTERED, {"responder": reply.responder,
                                                   "key_bits": reply.key_length_bits}, trace=trace)
                 row.old_filtered += 1
@@ -290,10 +291,10 @@ class Simulation:
         else:
             row.vote_split += 1
 
-        for responder in outcome.responders:
-            update_correctness(ledger, responder,
-                               responder in outcome.supporters,
-                               responders=outcome.responders)
+        for responder in outcome.supporters:
+            update_correctness(ledger, responder, True)
+        for responder in outcome.dissenters:
+            update_correctness(ledger, responder, False)
 
         for notice in notify_dissenters(outcome, requester):
             self.log.append(EV_NOTICE, {"target": notice.target,
@@ -398,10 +399,8 @@ class Simulation:
             self.ledgers.pop(node, None)
             self.rounds.pop(node, None)
             self.log.append(EV_LEAVE, {"node": node})
-        gone = set(summary.left)
         for ledger in self.ledgers.values():
-            for peer in gone.intersection(ledger.known_peers()):
-                ledger.drop_peer(peer)
+            ledger.drop_peers(summary.left)
         for node in summary.joined:
             self.ledgers[node] = Ledger(node)
             self.behaviors[node] = Behavior.HONEST

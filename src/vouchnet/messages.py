@@ -51,10 +51,6 @@ class VoteOutcome:
     dissent_digests: dict[int, Digest] = field(hash=False)
     unanimous: bool
 
-    @property
-    def responders(self) -> tuple[int, ...]:
-        return tuple(sorted(self.supporters + self.dissenters))
-
 
 @dataclass(frozen=True)
 class SuspicionNotice:

@@ -143,12 +143,6 @@ class MetricsReport:
             return None
         return sum(e.accepted for e in self.epochs) / total
 
-    def tampered_acceptance_rate(self) -> float | None:
-        total = sum(e.retrievals for e in self.epochs)
-        if total == 0:
-            return None
-        return sum(e.tampered_accepted for e in self.epochs) / total
-
     # -- emission ----------------------------------------------------------
 
     def jsonl_lines(self) -> list[str]:

@@ -87,13 +87,12 @@ def verify_round(requester: int, auth: AuthPackage, graph: CommunityGraph,
                                 verifier=verifier, app_id=auth.app_id,
                                 digest=auth.claimed_digest, tag=tag)
         requests.append(request)
-        if verifier not in graph.nodes or not graph.has_edge(auth.sender, verifier):
+        if not graph.has_edge(auth.sender, verifier):
             continue  # link gone; nobody holds the key anymore
-        store = graph.keystores[verifier]
-        if not store.has(auth.sender):
+        key = graph.keystores[verifier].get(auth.sender)
+        if key is None:
             raise VouchnetError(
                 f"verifier {verifier} is linked to {auth.sender} but holds no key")
-        key = store.key_for(auth.sender)
         try:
             verdict = verify_mac(key, bound, tag, min_key_bits=min_key_bits)
         except KeyMismatchError:

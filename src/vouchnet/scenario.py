@@ -10,7 +10,10 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .adversary import Behavior
 from .community import FormationParams
@@ -234,7 +237,9 @@ class Scenario:
             unknown = set(sub) - known
             if unknown:
                 problems.append(f"{where}: unknown fields {sorted(unknown)}")
-            return cls(**{k: v for k, v in sub.items() if k in known})
+            values = {k: v for k, v in sub.items() if k in known}
+            problems.extend(_type_problems(cls, values, f"{where}."))
+            return cls(**values)
 
         top_known = {f.name for f in fields(Scenario)}
         unknown = set(data) - top_known
@@ -253,6 +258,7 @@ class Scenario:
                 data["apps"] = []
             else:
                 data["apps"] = [build(AppSpec, a, f"apps[{i}]") for i, a in enumerate(apps)]
+        problems.extend(_type_problems(Scenario, data, ""))
         if problems:
             raise ScenarioError(problems)
         scenario = Scenario(**data)
@@ -274,6 +280,37 @@ class Scenario:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _accepts(hint) -> tuple[type, ...]:
+    members = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    accepted = tuple(get_origin(m) or m for m in members)
+    return accepted + (int,) if float in accepted else accepted
+
+
+@cache
+def _field_types(cls) -> dict[str, tuple[tuple[type, ...], tuple[type, ...] | None]]:
+    """Per field of a spec, the types its annotation admits (an int fits a
+    float, None an optional field), and for a map those of its values."""
+    return {name: (_accepts(hint),
+                   _accepts(get_args(hint)[1]) if get_origin(hint) is dict else None)
+            for name, hint in get_type_hints(cls).items()}
+
+
+def _type_problems(cls, values: dict, prefix: str) -> list[str]:
+    def mismatch(path: str, value: object, accepted: tuple[type, ...]) -> str:
+        names = " or ".join(sorted("None" if t is NoneType else t.__name__ for t in accepted))
+        return f"{path}: expected {names}, got {type(value).__name__}"
+
+    problems = []
+    for name, value in values.items():
+        accepted, items = _field_types(cls)[name]
+        if not isinstance(value, accepted):
+            problems.append(mismatch(prefix + name, value, accepted))
+        elif items is not None:
+            problems += [mismatch(f"{prefix}{name}.{k}", v, items)
+                         for k, v in value.items() if not isinstance(v, items)]
+    return problems
 
 
 def apply_overrides(base: Scenario, overrides: dict[str, object]) -> Scenario:

@@ -52,8 +52,9 @@ class Ledger:
             self._records[peer] = rec
         return rec
 
-    def drop_peer(self, peer: int) -> None:
-        self._records.pop(peer, None)
+    def drop_peers(self, peers: Iterable[int]) -> None:
+        for peer in peers:
+            self._records.pop(peer, None)
 
 
 def update_response(ledger: Ledger, peer: int, responded: bool) -> TrustRecord:

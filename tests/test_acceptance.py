@@ -279,7 +279,6 @@ def test_criterion_6_tocttou_impossibility():
                 sc.formation.proposals_per_round = 0
                 sim = Simulation(sc)
                 sim.behaviors[swapper] = Behavior.TOCTTOU_SWAPPER
-                sim.graph.nodes[swapper].behavior = Behavior.TOCTTOU_SWAPPER
                 clean = sim.catalog.clean_package(AppId("x", "1"))
                 sim.installs.install(swapper, tamper(
                     clean, adversary=swapper, rng=derive_rng(17, "seed-copy"),

@@ -36,12 +36,6 @@ def test_degree_within_cap(sim):
     assert over == []
 
 
-def test_keystore_matches_adjacency(sim):
-    graph = sim.graph
-    for node in graph.node_ids():
-        assert graph.keystores[node].neighbors() == graph.neighbors(node), node
-
-
 def test_both_ends_of_an_edge_share_one_key(sim):
     stores = sim.graph.keystores
     for a, b in sim.graph.edges():
