@@ -40,7 +40,6 @@ from .errors import (
     KeyMismatchError,
     KeyStrengthError,
     NoMajorityError,
-    NonResponderError,
     NoSourceError,
     NoVerifiersError,
     PairingError,

@@ -116,12 +116,6 @@ class InstallState:
     def get(self, node: int, app_id: AppId) -> AppPackage | None:
         return self._installed.get(node, {}).get(app_id)
 
-    def holds(self, node: int, app_id: AppId) -> bool:
-        return app_id in self._installed.get(node, {})
-
-    def holders(self, app_id: AppId) -> list[int]:
-        return sorted(n for n, apps in self._installed.items() if app_id in apps)
-
     def entries(self) -> Iterator[tuple[int, AppPackage]]:
         for node in sorted(self._installed):
             for app_id in sorted(self._installed[node], key=lambda a: a.label()):

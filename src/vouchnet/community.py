@@ -135,13 +135,6 @@ class CommunityGraph:
             frontier = nxt
         return sorted(out)
 
-    def edge_list_text(self) -> str:
-        """One "id,id,type,type" line per edge, smaller id first."""
-        lines = []
-        for a, b in self.edges():
-            lines.append(f"{a},{b},{self.nodes[a].node_type},{self.nodes[b].node_type}")
-        return "\n".join(lines)
-
 
 # -- formation game ------------------------------------------------------
 

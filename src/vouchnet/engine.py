@@ -223,24 +223,19 @@ class Simulation:
                                requester=requester, app_label=app_id.label())
         self.retrieval_count += 1
         self.traces.append(trace)
-        row.retrievals += 1
 
-        trace.reason, package = self._vouch(trace, app_id, row)
-        trace.accepted = package is not None
+        trace.reason, package = self._vouch(trace, app_id)
         if package is not None:
-            row.accepted += 1
             trace.infected_install = package.is_tampered
-            if package.is_tampered:
-                row.tampered_accepted += 1
             self._install(trace, package)
         elif not self.scenario.store_blocked and self.catalog.has(app_id):
             self.log.append(EV_STORE_FETCH, {"node": requester, "app": trace.app_label,
                                              "reason": trace.reason}, trace=trace)
             self._install(trace, self.catalog.clean_package(app_id))
+        metrics_mod.tally(row, trace)
         return trace
 
-    def _vouch(self, trace: RetrievalTrace, app_id: AppId,
-               row: "metrics_mod.EpochMetrics") -> tuple[str, AppPackage | None]:
+    def _vouch(self, trace: RetrievalTrace, app_id: AppId) -> tuple[str, AppPackage | None]:
         """Call-out, vote, delivery and verification. Returns why the
         retrieval ended and the package to install, or None if there is none."""
         sc = self.scenario
@@ -270,15 +265,12 @@ class Simulation:
             if reply.responder not in kept_ids:
                 self.log.append(EV_OLD_FILTERED, {"responder": reply.responder,
                                                   "key_bits": reply.key_length_bits}, trace=trace)
-                row.old_filtered += 1
 
         try:
             outcome = majority_vote(kept)
         except NoSourceError:
-            row.vote_no_replies += 1
             return REASON_NO_REPLIES, None
         except NoMajorityError:
-            row.vote_ties += 1
             return REASON_VOTE_TIE, None
 
         self.log.append(EV_VOTE, {"app": trace.app_label,
@@ -286,10 +278,6 @@ class Simulation:
                                   "supporters": _ids_csv(outcome.supporters),
                                   "dissenters": _ids_csv(outcome.dissenters),
                                   "unanimous": outcome.unanimous}, trace=trace)
-        if outcome.unanimous:
-            row.vote_unanimous += 1
-        else:
-            row.vote_split += 1
 
         for responder in outcome.supporters:
             update_correctness(ledger, responder, True)
@@ -300,11 +288,10 @@ class Simulation:
             self.log.append(EV_NOTICE, {"target": notice.target,
                                         "suspected": notice.suspected_digest.hex(),
                                         "majority": notice.majority_digest.hex()}, trace=trace)
-            row.notices += 1
             self.flagged.add((notice.target, trace.app_label))
             held = self.installs.get(notice.target, app_id)
             if held is not None and not held.is_tampered:
-                row.false_accusations += 1
+                trace.false_accusations += 1
 
         source = choose_source(outcome, rng)
         self.log.append(EV_SOURCE, {"source": source}, trace=trace)
@@ -338,7 +325,6 @@ class Simulation:
 
         expected = outcome.majority_digest if sc.protocol.vote_binding else auth.claimed_digest
         if not toc_tou_check(auth, expected):
-            row.tocttou_rejections += 1
             decision = AcceptanceDecision(False, REASON_FINGERPRINT, 0, len(auth.macs))
             return self._decided(trace, decision), None
 

@@ -41,10 +41,6 @@ class NoVerifiersError(VouchnetError):
     """The sender has no usable neighbors to authenticate through."""
 
 
-class NonResponderError(VouchnetError):
-    """A correctness score was attempted for a peer that did not respond."""
-
-
 class UndefinedHomophilyError(VouchnetError):
     """The mixing index is undefined on a graph without edges."""
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .crypto import DEFAULT_WIDTH_BITS, Digest, fingerprint
+from .messages import REASON_QUORUM
 from .wire import encode_fields
 
 # Event kinds. The six protocol-message kinds each advance the tick and
@@ -118,8 +119,13 @@ class RetrievalTrace:
     requester: int
     app_label: str
     events: list[EventRecord] = field(default_factory=list)
-    accepted: bool = False
     reason: str = ""
     infected_install: bool = False
     payload_bytes: int = 0
     responders: int = 0
+    # Notices to holders of a clean copy: the log does not say what they held.
+    false_accusations: int = 0
+
+    @property
+    def accepted(self) -> bool:
+        return self.reason == REASON_QUORUM

@@ -15,7 +15,17 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .events import EV_DELIVERY, EV_REPLY, EV_VERIFY_REPLY, EV_VERIFY_REQ, RetrievalTrace
+from .events import (
+    EV_DELIVERY,
+    EV_NOTICE,
+    EV_OLD_FILTERED,
+    EV_REPLY,
+    EV_VERIFY_REPLY,
+    EV_VERIFY_REQ,
+    EV_VOTE,
+    RetrievalTrace,
+)
+from .messages import REASON_FINGERPRINT, REASON_NO_REPLIES, REASON_VOTE_TIE
 
 
 @dataclass
@@ -40,6 +50,25 @@ class EpochMetrics:
     leaves: int = 0
     severed: int = 0
     links_formed: int = 0
+
+
+def tally(row: EpochMetrics, trace: RetrievalTrace) -> None:
+    """Add one finished retrieval to its epoch's counters, read from the
+    reason it ended with and the kinds of event it logged. A vote is split
+    exactly when it sent notices."""
+    kinds = [e.kind for e in trace.events]
+    notices = kinds.count(EV_NOTICE)
+    row.retrievals += 1
+    row.accepted += trace.accepted
+    row.tampered_accepted += trace.infected_install
+    row.notices += notices
+    row.false_accusations += trace.false_accusations
+    row.old_filtered += kinds.count(EV_OLD_FILTERED)
+    row.tocttou_rejections += trace.reason == REASON_FINGERPRINT
+    row.vote_unanimous += EV_VOTE in kinds and not notices
+    row.vote_split += notices > 0
+    row.vote_ties += trace.reason == REASON_VOTE_TIE
+    row.vote_no_replies += trace.reason == REASON_NO_REPLIES
 
 
 @dataclass

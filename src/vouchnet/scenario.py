@@ -105,7 +105,9 @@ class Scenario:
     # -- validation ----------------------------------------------------
 
     def validate(self) -> None:
-        problems: list[str] = []
+        problems = self._type_problems()
+        if problems:
+            raise ScenarioError(problems)
 
         def check(ok: bool, message: str) -> None:
             if not ok:
@@ -113,10 +115,8 @@ class Scenario:
 
         check(self.schema == SCHEMA_VERSION,
               f"schema: expected {SCHEMA_VERSION}, got {self.schema!r}")
-        check(isinstance(self.seed, int), "seed: must be an integer")
-        check(isinstance(self.epochs, int) and self.epochs >= 0,
-              f"epochs: must be a non-negative integer, got {self.epochs!r}")
-        check(isinstance(self.node_count, int) and self.node_count >= 0,
+        check(self.epochs >= 0, f"epochs: must be a non-negative integer, got {self.epochs!r}")
+        check(self.node_count >= 0,
               f"node_count: must be a non-negative integer, got {self.node_count!r}")
         check(bool(self.type_distribution), "type_distribution: must not be empty")
         for t, w in self.type_distribution.items():
@@ -219,6 +219,22 @@ class Scenario:
     def _ids_in_range(self, ids: list) -> bool:
         return all(isinstance(i, int) and 0 <= i < self.node_count for i in ids)
 
+    def _type_problems(self) -> list[str]:
+        """Values whose type their field does not admit: at the top level,
+        in each section that is itself of the right type, and in each app."""
+        problems = _spec_type_problems(self, "")
+        for f in fields(self):
+            section = getattr(self, f.name)
+            if is_dataclass(f.default_factory) and isinstance(section, f.default_factory):
+                problems += _spec_type_problems(section, f"{f.name}.")
+        if isinstance(self.apps, list):
+            for i, app in enumerate(self.apps):
+                if isinstance(app, AppSpec):
+                    problems += _spec_type_problems(app, f"apps[{i}].")
+                else:
+                    problems.append(f"apps[{i}]: expected AppSpec, got {type(app).__name__}")
+        return problems
+
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -237,9 +253,7 @@ class Scenario:
             unknown = set(sub) - known
             if unknown:
                 problems.append(f"{where}: unknown fields {sorted(unknown)}")
-            values = {k: v for k, v in sub.items() if k in known}
-            problems.extend(_type_problems(cls, values, f"{where}."))
-            return cls(**values)
+            return cls(**{k: v for k, v in sub.items() if k in known})
 
         top_known = {f.name for f in fields(Scenario)}
         unknown = set(data) - top_known
@@ -258,10 +272,9 @@ class Scenario:
                 data["apps"] = []
             else:
                 data["apps"] = [build(AppSpec, a, f"apps[{i}]") for i, a in enumerate(apps)]
-        problems.extend(_type_problems(Scenario, data, ""))
-        if problems:
-            raise ScenarioError(problems)
         scenario = Scenario(**data)
+        if problems:
+            raise ScenarioError(problems + scenario._type_problems())
         scenario.validate()
         return scenario
 
@@ -297,14 +310,14 @@ def _field_types(cls) -> dict[str, tuple[tuple[type, ...], tuple[type, ...] | No
             for name, hint in get_type_hints(cls).items()}
 
 
-def _type_problems(cls, values: dict, prefix: str) -> list[str]:
+def _spec_type_problems(spec, prefix: str) -> list[str]:
     def mismatch(path: str, value: object, accepted: tuple[type, ...]) -> str:
         names = " or ".join(sorted("None" if t is NoneType else t.__name__ for t in accepted))
         return f"{path}: expected {names}, got {type(value).__name__}"
 
     problems = []
-    for name, value in values.items():
-        accepted, items = _field_types(cls)[name]
+    for name, (accepted, items) in _field_types(type(spec)).items():
+        value = getattr(spec, name)
         if not isinstance(value, accepted):
             problems.append(mismatch(prefix + name, value, accepted))
         elif items is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NonResponderError, VouchnetError
+from .errors import VouchnetError
 
 STRANGER_RESP = 0.5
 STRANGER_COND = 0.5
@@ -66,16 +66,8 @@ def update_response(ledger: Ledger, peer: int, responded: bool) -> TrustRecord:
     return rec
 
 
-def update_correctness(ledger: Ledger, peer: int, agreed_with_majority: bool,
-                       responders: Iterable[int] | None = None) -> TrustRecord:
-    """Smooth conditional trust after a vote the peer took part in.
-
-    ``responders`` is the round's responder set when the caller has one;
-    scoring a peer outside it is a protocol violation, not a zero-credit
-    observation, so it raises.
-    """
-    if responders is not None and peer not in set(responders):
-        raise NonResponderError(f"peer {peer} did not respond in the scored round")
+def update_correctness(ledger: Ledger, peer: int, agreed_with_majority: bool) -> TrustRecord:
+    """Smooth conditional trust after a vote the peer took part in."""
     rec = ledger._touch(peer)
     target = 1.0 if agreed_with_majority else 0.0
     rec.cond_trust = (1.0 - ledger.alpha) * rec.cond_trust + ledger.alpha * target

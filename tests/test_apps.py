@@ -89,13 +89,3 @@ def test_install_replaces_previous_copy():
     assert state.get(7, clean.app_id) is clean
     assert state.infected_entries() == []
 
-
-def test_holders_listing():
-    catalog = AppCatalog()
-    clean = catalog.publish_clean(AppId("lamp", "1"), b"payload")
-    state = InstallState()
-    for node in (5, 1, 9):
-        state.install(node, clean)
-    assert state.holders(clean.app_id) == [1, 5, 9]
-    assert state.holds(5, clean.app_id)
-    assert not state.holds(2, clean.app_id)

@@ -88,14 +88,6 @@ def test_reachability_with_hop_limit():
     assert g.reachable_from(0, hop_limit=2) == [1, 2]
 
 
-def test_edge_list_text_format():
-    g = build_graph(3, types=["cam", "cam", "hub"])
-    rng = random.Random(0)
-    g.add_edge(2, 0, rng)
-    g.add_edge(0, 1, rng)
-    assert g.edge_list_text() == "0,1,cam,cam\n0,2,cam,hub"
-
-
 # -- marginal utility --------------------------------------------------------
 
 

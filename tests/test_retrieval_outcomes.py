@@ -1,16 +1,24 @@
 """Every retrieval ends in exactly one of six ways, and the event log,
-the trace and the epoch counters agree on which."""
+the trace and the epoch counters agree on which and on what it did."""
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import cache
 from pathlib import Path
 
 import pytest
 
 from test_engine import rich_scenario
+from test_reply_scoring import connected_scenario
 from vouchnet import Simulation
-from vouchnet.apps import AppId
-from vouchnet.events import EV_DECISION, EV_INSTALL, EV_STORE_FETCH
+from vouchnet.apps import ORIGIN_TAMPERED, AppId
+from vouchnet.events import (
+    EV_DECISION,
+    EV_INSTALL,
+    EV_NOTICE,
+    EV_OLD_FILTERED,
+    EV_STORE_FETCH,
+    EV_VOTE,
+)
 from vouchnet.messages import (
     REASON_FINGERPRINT,
     REASON_INSUFFICIENT,
@@ -52,11 +60,12 @@ RUNS = {
     **{name: (lambda name=name: Scenario.from_file(SCENARIOS / f"{name}.json"))
        for name in ("smoke", "tampered_campaign", "community_study")},
 }
+COUNTED_RUNS = {**RUNS, "connected": connected_scenario}
 
 
 @cache
 def simulate(name: str) -> Simulation:
-    simulation = Simulation(RUNS[name]())
+    simulation = Simulation(COUNTED_RUNS[name]())
     simulation.run()
     return simulation
 
@@ -116,3 +125,47 @@ def test_epoch_counters_match_reasons(sim):
         assert row.vote_ties == reasons["vote-tie"]
         assert row.tocttou_rejections == reasons[REASON_FINGERPRINT]
         assert row.accepted == reasons[REASON_QUORUM]
+
+
+LOGGED_COUNTERS = ("notices", "old_filtered", "vote_unanimous", "vote_split",
+                   "tampered_accepted")
+
+
+def logged_counter(record) -> str | None:
+    """The epoch counter that one retrieval's log record adds one to."""
+    if record.kind == EV_NOTICE:
+        return "notices"
+    if record.kind == EV_OLD_FILTERED:
+        return "old_filtered"
+    if record.kind == EV_VOTE:
+        return "vote_unanimous" if record.data["unanimous"] == "True" else "vote_split"
+    if record.kind == EV_INSTALL and record.data["origin"] == ORIGIN_TAMPERED:
+        return "tampered_accepted"
+    return None
+
+
+def logged_counts(sim: Simulation) -> dict[int, Counter]:
+    """Per epoch, the counters read off the whole log, retrieval by retrieval."""
+    per_retrieval: dict[int, Counter] = defaultdict(Counter)
+    for record in sim.log.records:
+        if record.retrieval is not None:
+            per_retrieval[record.retrieval][logged_counter(record)] += 1
+    per_epoch = {row.epoch: Counter() for row in sim.epoch_rows}
+    for retrieval, counts in per_retrieval.items():
+        per_epoch[sim.traces[retrieval].epoch].update(counts)
+    return per_epoch
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_RUNS))
+def test_epoch_counters_match_the_log(name):
+    sim = simulate(name)
+    per_epoch = logged_counts(sim)
+    for row in sim.epoch_rows:
+        assert ({c: getattr(row, c) for c in LOGGED_COUNTERS}
+                == {c: per_epoch[row.epoch][c] for c in LOGGED_COUNTERS}), row.epoch
+
+
+def test_counted_runs_reach_every_logged_counter():
+    reached = {c for name in COUNTED_RUNS for counts in logged_counts(simulate(name)).values()
+               for c in LOGGED_COUNTERS if counts[c]}
+    assert reached == set(LOGGED_COUNTERS)

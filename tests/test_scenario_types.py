@@ -1,14 +1,17 @@
 """A scenario value of the wrong type is a validation error that names its
-path, from a file, a dict or a sweep grid, never a crash mid-check."""
+path, from a file, a dict, a sweep grid or library code, never a crash
+mid-check."""
 
 import json
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import pytest
 
+from vouchnet import Simulation
 from vouchnet.cli import main
 from vouchnet.errors import ScenarioError
-from vouchnet.scenario import Scenario
+from vouchnet.scenario import AppSpec, Scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -29,6 +32,40 @@ def test_wrong_type_names_its_path(data, path):
     with pytest.raises(ScenarioError) as exc:
         Scenario.from_dict(data)
     assert [f.split(":")[0] for f in exc.value.fields] == [path]
+
+
+def built_in_code(data: dict) -> Scenario:
+    """The scenario ``data`` describes, set field by field on a default
+    ``Scenario`` as library code would, without ``from_dict``."""
+    sc = Scenario()
+    for name, value in data.items():
+        if name == "apps":
+            sc.apps = [AppSpec(**app) for app in value]
+        elif is_dataclass(getattr(sc, name)):
+            for key, item in value.items():
+                setattr(getattr(sc, name), key, item)
+        else:
+            setattr(sc, name, value)
+    return sc
+
+
+@pytest.mark.parametrize("data,path", WRONG_TYPES, ids=[w[1] for w in WRONG_TYPES])
+def test_wrong_type_in_a_library_scenario_names_its_path(data, path):
+    with pytest.raises(ScenarioError) as exc:
+        Simulation(built_in_code(data))
+    assert [f.split(":")[0] for f in exc.value.fields] == [path]
+
+
+def test_type_problems_join_the_unknown_fields_and_hide_range_problems():
+    with pytest.raises(ScenarioError) as exc:
+        Scenario.from_dict({"node_count": 4, "bogus": 1,
+                            "protocol": {"quorum": "x", "extra": 2}})
+    assert exc.value.fields == ["scenario: unknown fields ['bogus']",
+                                "protocol: unknown fields ['extra']",
+                                "protocol.quorum: expected float or int, got str"]
+    with pytest.raises(ScenarioError) as exc:
+        Simulation(Scenario(node_count="4", epochs=-1))
+    assert exc.value.fields == ["node_count: expected int, got str"]
 
 
 def test_int_fits_a_float_and_none_fits_an_optional():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from vouchnet.errors import NonResponderError, VouchnetError
+from vouchnet.errors import VouchnetError
 from vouchnet.trust import (
     Ledger,
     combined_trust,
@@ -154,7 +154,7 @@ def test_response_closed_form_convergence():
 
 def test_correctness_update_from_prior():
     ledger = Ledger(0, alpha=0.1)
-    rec = update_correctness(ledger, 1, True, responders=[1, 2])
+    rec = update_correctness(ledger, 1, True)
     assert rec.cond_trust == pytest.approx(0.55, abs=1e-12)
 
 
@@ -163,12 +163,6 @@ def test_correctness_drop_after_disagreement():
     ledger._touch(1).cond_trust = 1.0
     rec = update_correctness(ledger, 1, False)
     assert rec.cond_trust == pytest.approx(0.9, abs=1e-12)
-
-
-def test_scoring_a_non_responder_raises():
-    ledger = Ledger(0, alpha=0.1)
-    with pytest.raises(NonResponderError):
-        update_correctness(ledger, 3, True, responders=[1, 2])
 
 
 def test_alternating_outcomes_stay_bounded():
