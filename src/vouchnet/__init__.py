@@ -56,7 +56,6 @@ from .messages import (
     FingerprintReply,
     SuspicionNotice,
     VerifyReply,
-    VerifyRequest,
     VoteOutcome,
 )
 from .metrics import MetricsReport, account_overhead, bandwidth_table

@@ -3,7 +3,8 @@
 Fingerprints are SHA-3 digests at a configurable width (224 or 256 bits).
 MACs are HMAC over the same SHA-3 function, so a tag occupies exactly one
 fingerprint-width unit on the wire and both primitives are priced alike by
-the bandwidth model.
+the bandwidth model. ``mac`` and ``verify_mac`` each compute the HMAC in one
+``hmac.digest`` call, and verifying compares the raw bytes.
 """
 
 from __future__ import annotations
@@ -76,6 +77,13 @@ def fingerprint(payload: bytes, width_bits: int = DEFAULT_WIDTH_BITS) -> Digest:
     return Digest(bits=h(payload).digest(), width_bits=width_bits)
 
 
+def _check_strength(key: MacKey, min_key_bits: int) -> None:
+    if key.length_bits < min_key_bits:
+        raise KeyStrengthError(
+            f"key {key.key_id!r} is {key.length_bits} bits; minimum is {min_key_bits}"
+        )
+
+
 def mac(key: MacKey, message: bytes, width_bits: int = DEFAULT_WIDTH_BITS,
         min_key_bits: int = MIN_KEY_BITS) -> MacTag:
     """Authenticate a message under a pairwise key.
@@ -83,12 +91,8 @@ def mac(key: MacKey, message: bytes, width_bits: int = DEFAULT_WIDTH_BITS,
     The tag is emitted at the digest width, so MACs and fingerprints cost
     the same number of bits on the wire.
     """
-    if key.length_bits < min_key_bits:
-        raise KeyStrengthError(
-            f"key {key.key_id!r} is {key.length_bits} bits; minimum is {min_key_bits}"
-        )
-    digestmod = _hash_for(width_bits)
-    raw = _hmac.new(key.material, message, digestmod).digest()
+    _check_strength(key, min_key_bits)
+    raw = _hmac.digest(key.material, message, _hash_for(width_bits))
     return MacTag(key_id=key.key_id, tag=raw, width_bits=width_bits)
 
 
@@ -98,12 +102,15 @@ def verify_mac(key: MacKey, message: bytes, tag: MacTag,
 
     A key-id mismatch raises rather than returning False: it indicates the
     caller presented the tag against the wrong pairwise key, which must not
-    be conflated with a forged message.
+    be conflated with a forged message. A key below the minimum raises
+    ``KeyStrengthError`` whatever minimum the tag was made under. The
+    expected tag is recomputed in full on every call.
     """
     if tag.key_id != key.key_id:
         raise KeyMismatchError(f"tag was made under {tag.key_id!r}, not {key.key_id!r}")
-    expected = mac(key, message, width_bits=tag.width_bits, min_key_bits=min_key_bits)
-    return _hmac.compare_digest(expected.tag, tag.tag)
+    _check_strength(key, min_key_bits)
+    expected = _hmac.digest(key.material, message, _hash_for(tag.width_bits))
+    return _hmac.compare_digest(expected, tag.tag)
 
 
 class KeyStore(dict[int, MacKey]):

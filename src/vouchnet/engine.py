@@ -339,20 +339,20 @@ class Simulation:
         else:
             verify_interceptor = self._interceptor
 
-        requests, verdicts = verify_round(requester, auth, self.graph,
-                                          interceptor=verify_interceptor,
-                                          min_key_bits=sc.protocol.min_key_bits)
+        polled, verdicts = verify_round(requester, auth, self.graph,
+                                        interceptor=verify_interceptor,
+                                        min_key_bits=sc.protocol.min_key_bits)
         replied = {v.verifier for v in verdicts}
-        for request in requests:
-            self.log.append(EV_VERIFY_REQ, {"verifier": request.verifier}, trace=trace)
+        for verifier in polled:
+            self.log.append(EV_VERIFY_REQ, {"verifier": verifier}, trace=trace)
         for verdict in verdicts:
             self.log.append(EV_VERIFY_REPLY, {"verifier": verdict.verifier,
                                               "verdict": verdict.verdict}, trace=trace)
-        for verifier in auth.verifier_ids():
+        for verifier in polled:
             if verifier != requester:
                 update_response(ledger, verifier, verifier in replied)
 
-        decision = decide(verdicts, total_polled=len(auth.macs),
+        decision = decide(verdicts, total_polled=len(polled),
                           quorum=sc.protocol.quorum)
         reason = self._decided(trace, decision)
         if not decision.accepted:

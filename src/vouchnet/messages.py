@@ -77,16 +77,6 @@ class AuthPackage:
 
 
 @dataclass(frozen=True)
-class VerifyRequest:
-    requester: int
-    sender: int
-    verifier: int
-    app_id: AppId
-    digest: Digest
-    tag: MacTag
-
-
-@dataclass(frozen=True)
 class VerifyReply:
     verifier: int
     verdict: bool

@@ -5,6 +5,10 @@ chosen neighbor. The requester recomputes the payload digest before doing
 anything else, so a payload swapped in after the vote is caught no matter
 what the verifiers say; the verifier quorum then defends against a sender
 that never shared the voted content at all.
+
+A verification round polls the MAC'd neighbors by id; each one recomputes
+its tag with one HMAC under the key it shares with the sender and answers
+with a ``VerifyReply``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .messages import (
     AcceptanceDecision,
     AuthPackage,
     VerifyReply,
-    VerifyRequest,
     mac_message,
 )
 from .protocol import Interceptor
@@ -71,28 +74,29 @@ def toc_tou_check(auth: AuthPackage, expected: Digest) -> bool:
 def verify_round(requester: int, auth: AuthPackage, graph: CommunityGraph,
                  interceptor: Interceptor | None = None,
                  min_key_bits: int = MIN_KEY_BITS,
-                 ) -> tuple[list[VerifyRequest], list[VerifyReply]]:
+                 ) -> tuple[tuple[int, ...], list[VerifyReply]]:
     """Poll every MAC'd neighbor: does this tag really bind this digest?
 
-    Each verifier answers from its own key material; a neighbor that has
-    since lost its link to the sender, or whose behavior swallows the
-    reply, contributes nothing. A broken key store surfaces as an error
-    rather than a quiet negative verdict.
+    Returns the polled verifier ids, in MAC order, and the replies that
+    came back. Each verifier answers from its own key material; a neighbor
+    that has since lost its link to the sender, or whose behavior swallows
+    the reply, is polled but contributes nothing. A broken key store
+    surfaces as an error rather than a quiet negative verdict. The
+    requester does not enter the check: a verifier answers the same
+    whoever asks.
     """
-    requests: list[VerifyRequest] = []
     replies: list[VerifyReply] = []
     bound = mac_message(auth.app_id, auth.claimed_digest)
+    sender = auth.sender
+    keystores = graph.keystores
+    sender_links = keystores.get(sender, ())
     for verifier, tag in auth.macs:
-        request = VerifyRequest(requester=requester, sender=auth.sender,
-                                verifier=verifier, app_id=auth.app_id,
-                                digest=auth.claimed_digest, tag=tag)
-        requests.append(request)
-        if not graph.has_edge(auth.sender, verifier):
+        if verifier not in sender_links:
             continue  # link gone; nobody holds the key anymore
-        key = graph.keystores[verifier].get(auth.sender)
+        key = keystores[verifier].get(sender)
         if key is None:
             raise VouchnetError(
-                f"verifier {verifier} is linked to {auth.sender} but holds no key")
+                f"verifier {verifier} is linked to {sender} but holds no key")
         try:
             verdict = verify_mac(key, bound, tag, min_key_bits=min_key_bits)
         except KeyMismatchError:
@@ -102,7 +106,7 @@ def verify_round(requester: int, auth: AuthPackage, graph: CommunityGraph,
             reply = interceptor(verifier, reply)
         if reply is not None:
             replies.append(reply)
-    return requests, replies
+    return auth.verifier_ids(), replies
 
 
 def decide(replies: Sequence[VerifyReply], total_polled: int,

@@ -1,5 +1,7 @@
 """Fingerprint, MAC, and key pairing behavior."""
 
+import hashlib
+import hmac
 import random
 
 import pytest
@@ -120,6 +122,28 @@ def test_short_key_allowed_when_minimum_lowered():
     weak = make_key(bits=64)
     tag = mac(weak, b"m", min_key_bits=64)
     assert verify_mac(weak, b"m", tag, min_key_bits=64)
+
+
+def test_verify_refuses_weak_key_under_default_minimum():
+    weak = make_key(bits=64)
+    tag = mac(weak, b"m", min_key_bits=64)
+    with pytest.raises(KeyStrengthError):
+        verify_mac(weak, b"m", tag)
+
+
+def test_key_id_mismatch_is_checked_before_key_strength():
+    weak, other = make_key("weak", bits=64, seed=1), make_key("other", bits=64, seed=2)
+    tag = mac(other, b"m", min_key_bits=64)
+    with pytest.raises(KeyMismatchError):
+        verify_mac(weak, b"m", tag)
+
+
+@pytest.mark.parametrize("width", [224, 256])
+def test_mac_matches_reference_hmac(width):
+    key = make_key(bits=256, seed=9)
+    message = b"app:lamp:1"
+    expected = hmac.new(key.material, message, getattr(hashlib, f"sha3_{width}")).digest()
+    assert mac(key, message, width_bits=width).tag == expected
 
 
 def test_key_repr_hides_material():

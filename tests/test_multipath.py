@@ -122,8 +122,8 @@ def test_any_single_byte_substitution_is_caught():
 def test_all_honest_verifiers_confirm():
     g, catalog, clean = star_world(10)
     auth = build_auth_package(0, clean, g, fanout=10)
-    requests, replies = verify_round(100, auth, g)
-    assert len(requests) == 10
+    polled, replies = verify_round(100, auth, g)
+    assert len(polled) == 10
     assert len(replies) == 10
     assert all(r.verdict for r in replies)
 
@@ -161,6 +161,19 @@ def test_severed_link_means_no_reply():
     g.remove_edge(0, 2)
     _, replies = verify_round(100, auth, g)
     assert sorted(r.verifier for r in replies) == [1, 3]
+
+
+def test_polled_ids_are_the_macd_verifiers_in_mac_order():
+    g, catalog, clean = star_world(6)
+    built = build_auth_package(0, clean, g, fanout=4, rng=random.Random(3))
+    macs = built.macs[::-1]  # not sorted, so the order must come from the MACs
+    auth = AuthPackage(sender=built.sender, app_id=built.app_id, payload=built.payload,
+                       claimed_digest=built.claimed_digest, macs=macs)
+    severed = macs[1][0]
+    g.remove_edge(0, severed)
+    polled, replies = verify_round(100, auth, g)
+    assert polled == tuple(v for v, _ in macs)
+    assert [r.verifier for r in replies] == [v for v in polled if v != severed]
 
 
 def test_missing_key_for_live_link_is_an_error():
