@@ -25,12 +25,10 @@ from .crypto import (
     DEFAULT_WIDTH_BITS,
     MIN_KEY_BITS,
     Digest,
-    KeyStore,
     MacKey,
     MacTag,
     fingerprint,
     mac,
-    pair,
     verify_mac,
 )
 from .engine import Simulation, run
@@ -42,7 +40,6 @@ from .errors import (
     NoMajorityError,
     NoSourceError,
     NoVerifiersError,
-    PairingError,
     ScenarioError,
     UndefinedHomophilyError,
     UnknownParameterError,

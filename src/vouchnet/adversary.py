@@ -15,7 +15,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .apps import AppCatalog
-from .crypto import KeyStore, mac
+from .crypto import MacKey, mac
 from .errors import ConfigurationError
 from .messages import AuthPackage, FingerprintReply, VerifyReply, mac_message
 
@@ -86,7 +86,7 @@ class InterceptContext:
     """What a strategy may consult while rewriting an outbound message."""
 
     catalog: AppCatalog
-    keystores: dict[int, KeyStore] = field(hash=False)
+    keystores: dict[int, dict[int, MacKey]] = field(hash=False)
 
 
 def intercept(behavior: Behavior, message: object, ctx: InterceptContext):
@@ -123,7 +123,7 @@ def intercept(behavior: Behavior, message: object, ctx: InterceptContext):
             store = ctx.keystores[message.sender]
             bound = mac_message(message.app_id, clean)
             macs = tuple(
-                (v, mac(store.key_for(v), bound, width_bits=clean.width_bits))
+                (v, mac(store[v], bound, width_bits=clean.width_bits))
                 for v, _ in message.macs
             )
             return AuthPackage(sender=message.sender, app_id=message.app_id,

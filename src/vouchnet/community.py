@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .crypto import KeyStore, pair
+from .crypto import MacKey
 from .errors import ConfigurationError, UndefinedHomophilyError
 from .trust import Ledger, combined_trust
 
@@ -54,7 +54,7 @@ class CommunityGraph:
     def __init__(self) -> None:
         self.nodes: dict[int, NodeProfile] = {}
         # A node's key store is its adjacency: one key per live link.
-        self.keystores: dict[int, KeyStore] = {}
+        self.keystores: dict[int, dict[int, MacKey]] = {}
         self._next_id = 0
 
     # -- nodes ---------------------------------------------------------
@@ -63,7 +63,7 @@ class CommunityGraph:
         if profile.id in self.nodes:
             raise ConfigurationError(f"node {profile.id} already exists")
         self.nodes[profile.id] = profile
-        self.keystores[profile.id] = KeyStore()
+        self.keystores[profile.id] = {}
         self._next_id = max(self._next_id, profile.id + 1)
         return profile
 
@@ -74,7 +74,7 @@ class CommunityGraph:
 
     def remove_node(self, node: int) -> None:
         for neighbor in self.keystores.pop(node):
-            self.keystores[neighbor].remove(node)
+            self.keystores[neighbor].pop(node, None)
         del self.nodes[node]
 
     def node_ids(self) -> list[int]:
@@ -89,24 +89,35 @@ class CommunityGraph:
         return b in self.keystores.get(a, ())
 
     def add_edge(self, a: int, b: int, rng: random.Random) -> None:
-        """Link two nodes and install their shared key."""
+        """Link two nodes and mint their shared key from ``rng``.
+
+        A fixed seed gives the same key material. A key held on one side
+        only still counts as a link, so it is refused as a duplicate.
+        """
         if a == b:
             raise ConfigurationError("self-links are not allowed")
-        if self.has_edge(a, b):
+        store_a, store_b = self.keystores[a], self.keystores[b]
+        if b in store_a or a in store_b:
             raise ConfigurationError(f"link {a}-{b} already exists")
         pa, pb = self.nodes[a], self.nodes[b]
-        if self.degree(a) >= pa.max_degree or self.degree(b) >= pb.max_degree:
+        if len(store_a) >= pa.max_degree or len(store_b) >= pb.max_degree:
             raise ConfigurationError(f"link {a}-{b} would exceed a degree cap")
         # The shared key can only be as strong as the weaker device allows.
         bits = min(pa.key_length_bits, pb.key_length_bits)
-        pair(a, b, self.keystores[a], self.keystores[b], rng, length_bits=bits)
+        if bits % 8 != 0 or bits <= 0:
+            raise ConfigurationError(f"key length {bits} is not a positive byte multiple")
+        lo, hi = min(a, b), max(a, b)
+        key = MacKey(key_id=f"pair:{lo}:{hi}", material=rng.randbytes(bits // 8),
+                     length_bits=bits)
+        store_a[b] = key
+        store_b[a] = key
 
     def remove_edge(self, a: int, b: int) -> None:
-        self.keystores[a].remove(b)
-        self.keystores[b].remove(a)
+        self.keystores[a].pop(b, None)
+        self.keystores[b].pop(a, None)
 
     def neighbors(self, node: int) -> list[int]:
-        return self.keystores[node].neighbors()
+        return sorted(self.keystores[node])
 
     def degree(self, node: int) -> int:
         return len(self.keystores[node])

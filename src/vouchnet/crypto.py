@@ -4,17 +4,18 @@ Fingerprints are SHA-3 digests at a configurable width (224 or 256 bits).
 MACs are HMAC over the same SHA-3 function, so a tag occupies exactly one
 fingerprint-width unit on the wire and both primitives are priced alike by
 the bandwidth model. ``mac`` and ``verify_mac`` each compute the HMAC in one
-``hmac.digest`` call, and verifying compares the raw bytes.
+``hmac.digest`` call, and verifying compares the raw bytes. Keys are
+minted only when two devices link (``CommunityGraph.add_edge``), and each
+device's key store is a plain ``dict`` of neighbor id to ``MacKey``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
-import random
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, KeyMismatchError, KeyStrengthError, PairingError
+from .errors import ConfigurationError, KeyMismatchError, KeyStrengthError
 
 DEFAULT_WIDTH_BITS = 224
 SUPPORTED_WIDTHS = (224, 256)
@@ -111,47 +112,3 @@ def verify_mac(key: MacKey, message: bytes, tag: MacTag,
     _check_strength(key, min_key_bits)
     expected = _hmac.digest(key.material, message, _hash_for(tag.width_bits))
     return _hmac.compare_digest(expected, tag.tag)
-
-
-class KeyStore(dict[int, MacKey]):
-    """Per-device map of neighbor id to the shared pairwise key.
-
-    A plain dict underneath, so ``neighbor in store`` and ``len(store)``
-    cost one C-level lookup: the community graph reads its links from here.
-    """
-
-    def install(self, neighbor: int, key: MacKey) -> None:
-        self[neighbor] = key
-
-    def key_for(self, neighbor: int) -> MacKey:
-        return self[neighbor]
-
-    def has(self, neighbor: int) -> bool:
-        return neighbor in self
-
-    def remove(self, neighbor: int) -> None:
-        self.pop(neighbor, None)
-
-    def neighbors(self) -> list[int]:
-        return sorted(self)
-
-
-def pair(a: int, b: int, store_a: KeyStore, store_b: KeyStore,
-         rng: random.Random, length_bits: int = 256) -> MacKey:
-    """Install a fresh shared key on both sides of a new link.
-
-    Key material comes from the supplied generator, so pairing is
-    reproducible under a fixed seed.
-    """
-    if a == b:
-        raise PairingError(f"device {a} cannot pair with itself")
-    if store_a.has(b) or store_b.has(a):
-        raise PairingError(f"devices {a} and {b} already share a key")
-    if length_bits % 8 != 0 or length_bits <= 0:
-        raise ConfigurationError(f"key length {length_bits} is not a positive byte multiple")
-    lo, hi = min(a, b), max(a, b)
-    material = rng.randbytes(length_bits // 8)
-    key = MacKey(key_id=f"pair:{lo}:{hi}", material=material, length_bits=length_bits)
-    store_a.install(b, key)
-    store_b.install(a, key)
-    return key

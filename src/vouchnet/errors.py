@@ -21,10 +21,6 @@ class KeyMismatchError(VouchnetError):
     """
 
 
-class PairingError(VouchnetError):
-    """Key pairing failed (self-pairing, or the pair already shares a key)."""
-
-
 class DuplicateAppError(VouchnetError):
     """A clean package with the same app id was already published."""
 

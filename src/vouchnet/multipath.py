@@ -47,14 +47,14 @@ def build_auth_package(sender: int, package: AppPackage, graph: CommunityGraph,
     """
     store = graph.keystores[sender]
     usable = [n for n in graph.neighbors(sender)
-              if store.key_for(n).length_bits >= min_key_bits]
+              if store[n].length_bits >= min_key_bits]
     if not usable:
         raise NoVerifiersError(f"sender {sender} has no usable neighbors to MAC through")
     m = min(fanout, len(usable))
     chosen = sorted(rng.sample(usable, m)) if rng is not None else usable[:m]
     claimed = package.fingerprint(width_bits)
     bound = mac_message(package.app_id, claimed)
-    macs = tuple((n, mac(store.key_for(n), bound, width_bits=width_bits,
+    macs = tuple((n, mac(store[n], bound, width_bits=width_bits,
                          min_key_bits=min_key_bits))
                  for n in chosen)
     return AuthPackage(sender=sender, app_id=package.app_id, payload=package.payload,

@@ -24,7 +24,6 @@ DEFAULT_ALPHA = 0.1
 class TrustRecord:
     resp_prob: float = STRANGER_RESP
     cond_trust: float = STRANGER_COND
-    observations: int = 0
 
 
 class Ledger:
@@ -62,7 +61,6 @@ def update_response(ledger: Ledger, peer: int, responded: bool) -> TrustRecord:
     rec = ledger._touch(peer)
     target = 1.0 if responded else 0.0
     rec.resp_prob = (1.0 - ledger.alpha) * rec.resp_prob + ledger.alpha * target
-    rec.observations += 1
     return rec
 
 

@@ -1,19 +1,25 @@
-"""Every function the benchmark's tracer patches must exist under src/.
+"""The benchmark still runs against the simulator under src/.
 
-A rename in the simulator would otherwise leave the traced benchmark
-without that layer, with nothing failing.
+Every function its tracer patches must exist, and one tiny rep of each
+workload must pass its output checks, traced and untraced. A change under
+src/ that breaks the benchmark would otherwise fail nothing here.
 """
 
+import contextlib
 import importlib
 import importlib.util
 import sys
+from functools import cache
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+@cache
+def load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
@@ -32,7 +38,22 @@ def resolves(owner: str, attr: str) -> bool:
 
 
 def test_every_tracer_target_resolves():
-    targets = load_tracer().TARGETS
+    targets = load_bench("tracer").TARGETS
     assert len(targets) > 0
     missing = [t.name for t in targets if not resolves(t.owner, t.attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_one_tiny_rep_of_each_workload_passes_its_checks(traced):
+    workloads = load_bench("workloads").make_workloads(tiny=True)
+    assert workloads
+    tracer = load_bench("tracer").Tracer() if traced else None
+    for name, workload in workloads.items():
+        state = workload.setup(workload.default_seed)
+        job = workload.prepare(state, 0)
+        with tracer.active(name) if tracer else contextlib.nullcontext():
+            out = workload.execute(state, job, tracer)
+        ops, problems, _ = workload.check(state, job, out)
+        assert ops >= 1, name
+        assert problems == [], name

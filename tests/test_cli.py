@@ -117,9 +117,9 @@ def test_artifacts_never_contain_key_material(tmp_path, scenario_file):
     from vouchnet import Simulation
     sim = Simulation(Scenario.from_file(scenario_file))
     sim.run()
-    secrets = [store.key_for(n).material.hex()
+    secrets = [store[n].material.hex()
                for store in sim.graph.keystores.values()
-               for n in store.neighbors()]
+               for n in store]
     assert secrets, "scenario formed no keyed links; test is vacuous"
 
     for path in sorted(out_dir.iterdir()):

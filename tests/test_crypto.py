@@ -1,4 +1,4 @@
-"""Fingerprint, MAC, and key pairing behavior."""
+"""Fingerprints, MACs, and the pairwise keys that linking two devices mints."""
 
 import hashlib
 import hmac
@@ -6,20 +6,18 @@ import random
 
 import pytest
 
+from vouchnet.community import CommunityGraph, NodeProfile
 from vouchnet.crypto import (
     Digest,
-    KeyStore,
     MacKey,
     fingerprint,
     mac,
-    pair,
     verify_mac,
 )
 from vouchnet.errors import (
     ConfigurationError,
     KeyMismatchError,
     KeyStrengthError,
-    PairingError,
 )
 
 # Reference values for the empty payload, pinned from the standard
@@ -152,40 +150,55 @@ def test_key_repr_hides_material():
     assert key.material.hex() not in repr(mac(key, b"m"))  # tags are fine, material is not
 
 
-def test_pair_installs_symmetric_key():
-    sa, sb = KeyStore(), KeyStore()
-    key = pair(1, 2, sa, sb, random.Random(0))
-    assert sa.key_for(2) is key
-    assert sb.key_for(1) is key
-    assert sa.key_for(2).material == sb.key_for(1).material
+def linked_pair(seed=0, bits=(256, 256)):
+    """Devices 1 and 2, linked with device 2 proposing."""
+    g = CommunityGraph()
+    for node, key_bits in zip((1, 2), bits):
+        g.add_node(NodeProfile(id=node, node_type="cam", key_length_bits=key_bits))
+    g.add_edge(2, 1, random.Random(seed))
+    return g
 
 
-def test_pair_self_raises():
-    s = KeyStore()
-    with pytest.raises(PairingError):
-        pair(1, 1, s, s, random.Random(0))
+def test_link_installs_one_key_on_both_sides():
+    g = linked_pair()
+    key = g.keystores[1][2]
+    assert g.keystores[2][1] is key
+    assert key.key_id == "pair:1:2"  # lower id first, whichever side proposed
+    assert key.length_bits == 256
+    assert key.material == random.Random(0).randbytes(32)  # one draw of the key's bytes
 
 
-def test_pair_twice_raises():
-    sa, sb = KeyStore(), KeyStore()
-    pair(1, 2, sa, sb, random.Random(0))
-    with pytest.raises(PairingError):
-        pair(1, 2, sa, sb, random.Random(1))
+def test_link_key_deterministic_under_seed():
+    def material(seed):
+        return linked_pair(seed=seed).keystores[1][2].material
+
+    assert material(5) == material(5)
+    assert material(5) != material(6)
 
 
-def test_pair_deterministic_under_seed():
-    k1 = pair(1, 2, KeyStore(), KeyStore(), random.Random(5))
-    k2 = pair(1, 2, KeyStore(), KeyStore(), random.Random(5))
-    assert k1.material == k2.material
+def test_relink_after_remove_mints_fresh_key():
+    g = linked_pair()
+    first = g.keystores[1][2]
+    g.remove_edge(1, 2)
+    g.add_edge(1, 2, random.Random(1))
+    second = g.keystores[1][2]
+    assert g.keystores[2][1] is second
+    assert second.key_id == first.key_id
+    assert second.material != first.material
 
 
-def test_pair_then_remove_allows_repairing():
-    sa, sb = KeyStore(), KeyStore()
-    pair(1, 2, sa, sb, random.Random(0))
-    sa.remove(2)
-    sb.remove(1)
-    pair(1, 2, sa, sb, random.Random(1))
-    assert sa.has(2) and sb.has(1)
+def test_key_held_on_one_side_is_refused():
+    g = linked_pair()
+    g.keystores[1].pop(2)  # device 2 still holds the key
+    for a, b in [(1, 2), (2, 1)]:
+        with pytest.raises(ConfigurationError):
+            g.add_edge(a, b, random.Random(1))
+    assert 2 not in g.keystores[1]
+
+
+def test_key_length_not_a_byte_multiple_is_refused():
+    with pytest.raises(ConfigurationError):
+        linked_pair(bits=(256, 100))
 
 
 def test_digest_equality_is_bitwise():

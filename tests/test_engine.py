@@ -240,6 +240,23 @@ def test_minority_infection_never_spreads():
     assert report.totals()["tampered_accepted"] == 0
 
 
+def test_compromised_majority_accuses_the_honest_holder():
+    # Three of five nodes serve one tampered copy; honest node 1 asks.
+    sc = base_scenario(seed=1, node_count=5)
+    sc.formation.proposals_per_round = 0
+    sc.compromise.fraction = 0.6
+    sc.compromise.mix = {"tampered_server": 1.0}
+    sc.workload.explicit = [{"epoch": 0, "requester": 1, "app": "maps@2"}]
+    sim = Simulation(sc)
+    assert sim.behaviors.get(1, Behavior.HONEST) is Behavior.HONEST
+    _, report = sim.run()
+    (row,) = report.epochs
+    counts = (row.notices, row.false_accusations, row.tampered_accepted)
+    assert counts == (1, 1, 1)
+    totals = report.totals()
+    assert (totals["notices"], totals["false_accusations"], totals["tampered_accepted"]) == counts
+
+
 # -- adversaries through the full stack ---------------------------------------
 
 

@@ -39,7 +39,7 @@ def test_degree_within_cap(sim):
 def test_both_ends_of_an_edge_share_one_key(sim):
     stores = sim.graph.keystores
     for a, b in sim.graph.edges():
-        assert stores[a].key_for(b) == stores[b].key_for(a), (a, b)
+        assert stores[a][b] == stores[b][a], (a, b)
 
 
 def test_ledgers_cover_live_peers_only(sim):

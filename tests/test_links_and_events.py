@@ -95,7 +95,7 @@ def test_key_store_is_the_adjacency():
     assert g.edges() == [(0, 1), (0, 2), (2, 3)]
     assert g.edge_count() == 3
     # A key gone from one side takes that side's view of the link with it.
-    g.keystores[0].remove(2)
+    g.keystores[0].pop(2)
     assert not g.has_edge(0, 2)
     assert g.has_edge(2, 0)
     assert g.neighbors(0) == [1]

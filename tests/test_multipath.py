@@ -9,7 +9,7 @@ from vouchnet.apps import AppCatalog, AppId, tamper
 from vouchnet.community import CommunityGraph, NodeProfile
 from vouchnet.crypto import fingerprint
 from vouchnet.errors import NoVerifiersError, VouchnetError
-from vouchnet.messages import AuthPackage, VerifyReply
+from vouchnet.messages import REASON_INSUFFICIENT, AuthPackage, VerifyReply
 from vouchnet.multipath import build_auth_package, decide, toc_tou_check, verify_round
 
 APP = AppId("lamp", "1")
@@ -179,9 +179,20 @@ def test_polled_ids_are_the_macd_verifiers_in_mac_order():
 def test_missing_key_for_live_link_is_an_error():
     g, catalog, clean = star_world(2)
     auth = build_auth_package(0, clean, g)
-    g.keystores[1].remove(0)  # corrupt the store while the link stays up
+    g.keystores[1].pop(0)  # corrupt the store while the link stays up
     with pytest.raises(VouchnetError):
         verify_round(100, auth, g)
+
+
+def test_tag_presented_under_another_pairing_is_a_negative_verdict():
+    g, catalog, clean = star_world(2)
+    auth = build_auth_package(0, clean, g)
+    (v1, tag1), (v2, tag2) = auth.macs
+    swapped = AuthPackage(sender=auth.sender, app_id=auth.app_id, payload=auth.payload,
+                          claimed_digest=auth.claimed_digest, macs=((v1, tag2), (v2, tag1)))
+    polled, replies = verify_round(100, swapped, g)
+    assert [(r.verifier, r.verdict) for r in replies] == [(v1, False), (v2, False)]
+    assert decide(replies, len(polled)).reason == REASON_INSUFFICIENT
 
 
 def test_replayed_tag_under_different_digest_fails():

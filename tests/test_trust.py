@@ -132,7 +132,6 @@ def test_response_update_from_prior():
     ledger = Ledger(0, alpha=0.1)
     rec = update_response(ledger, 1, True)
     assert rec.resp_prob == pytest.approx(0.55, abs=1e-12)
-    assert rec.observations == 1
 
 
 def test_zero_is_a_fixed_point_for_silence():
