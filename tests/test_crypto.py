@@ -196,6 +196,15 @@ def test_key_held_on_one_side_is_refused():
     assert 2 not in g.keystores[1]
 
 
+def test_pair_self_raises():
+    g = linked_pair()
+    rng = random.Random(1)
+    with pytest.raises(ConfigurationError):
+        g.add_edge(1, 1, rng)
+    assert 1 not in g.keystores[1]
+    assert rng.getstate() == random.Random(1).getstate()  # no key material was drawn
+
+
 def test_key_length_not_a_byte_multiple_is_refused():
     with pytest.raises(ConfigurationError):
         linked_pair(bits=(256, 100))
