@@ -9,7 +9,7 @@ blocks with a deterministic simulator for studying how such communities
 form, whom they isolate, and what the protocol costs on the wire.
 """
 
-from .adversary import Behavior, CompromisePlan, InterceptContext, assign_behaviors, intercept
+from .adversary import Behavior, CompromiseSpec, InterceptContext, assign_behaviors, intercept
 from .apps import AppCatalog, AppId, AppPackage, InstallState, tamper
 from .community import (
     CommunityGraph,

@@ -4,6 +4,12 @@ A behavior is a stateless transform applied to every message a node is
 about to send. Honest nodes pass messages through; the other strategies
 drop, invert, or rewrite specific message types. Store blocking is a
 scenario-level condition, not a node behavior, so it does not appear here.
+
+``CompromiseSpec`` is the scenario's ``compromise`` section and the only
+statement of its rules; ``Scenario.validate`` reports them and
+``assign_behaviors`` refuses a spec that breaks one. The behavior table it
+returns lists compromised nodes only, so readers look nodes up with
+``.get(node, Behavior.HONEST)``.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .apps import AppCatalog
-from .crypto import MacKey, mac
+from .crypto import MIN_KEY_BITS, MacKey, mac
 from .errors import ConfigurationError
 from .messages import AuthPackage, FingerprintReply, VerifyReply, mac_message
 
@@ -30,55 +36,58 @@ class Behavior(str, Enum):
     LYING_VERIFIER = "lying_verifier"        # inverts MAC verdicts
     FREE_RIDER = "free_rider"                # consumes but never answers
 
-    @staticmethod
-    def parse(name: str) -> "Behavior":
-        try:
-            return Behavior(name)
-        except ValueError:
-            raise ConfigurationError(f"unknown behavior strategy {name!r}") from None
+
+# The names a compromise mix may weight; honest is what every node is by default.
+_STRATEGIES = frozenset(b.value for b in Behavior if b is not Behavior.HONEST)
 
 
-@dataclass(frozen=True)
-class CompromisePlan:
-    """Which fraction of nodes misbehave, and how the strategies mix."""
+@dataclass
+class CompromiseSpec:
+    """Which fraction of nodes misbehave, and how the strategies mix.
 
-    fraction: float
-    mix: dict[str, float] = field(hash=False)
-    seed: int = 0
-
-    def validate(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ConfigurationError(f"compromise fraction {self.fraction} outside [0, 1]")
-        if self.fraction > 0.0 and not self.mix:
-            raise ConfigurationError("compromise fraction set but strategy mix is empty")
-        for name, weight in self.mix.items():
-            strategy = Behavior.parse(name)
-            if strategy is Behavior.HONEST:
-                raise ConfigurationError("honest is the default, not a compromise strategy")
-            if weight < 0.0:
-                raise ConfigurationError(f"negative mix weight for {name!r}")
-        if self.mix and not math.isclose(sum(self.mix.values()), 1.0, abs_tol=1e-9):
-            raise ConfigurationError("strategy mix weights must sum to 1")
-
-
-def assign_behaviors(graph: "CommunityGraph", plan: CompromisePlan) -> dict[int, Behavior]:
-    """Pick floor(fraction * N) nodes by seeded sample and assign strategies.
-
-    Every node gets an entry; unsampled nodes are honest. The same plan on
-    the same graph always yields the same assignment.
+    A non-empty mix must sum to 1 whatever the fraction, so a mix that
+    validates is one that can be drawn from.
     """
-    plan.validate()
-    rng = random.Random(plan.seed)
+
+    fraction: float = 0.0
+    mix: dict[str, float] = field(default_factory=dict)
+
+    def problems(self) -> list[str]:
+        """Every rule the spec breaks, each named by its scenario path."""
+        found = []
+        if not 0.0 <= self.fraction <= 1.0:
+            found.append(f"compromise.fraction: {self.fraction} outside [0, 1]")
+        for name, weight in self.mix.items():
+            if name not in _STRATEGIES:
+                found.append(f"compromise.mix: unknown strategy {name!r}")
+            if weight < 0:
+                found.append(f"compromise.mix.{name}: negative weight")
+        if self.fraction > 0 and not self.mix:
+            found.append("compromise.mix: empty while fraction > 0")
+        if self.mix and not abs(sum(self.mix.values()) - 1.0) < 1e-9:
+            found.append("compromise.mix: weights must sum to 1")
+        return found
+
+
+def assign_behaviors(graph: "CommunityGraph", spec: CompromiseSpec,
+                     rng: random.Random) -> dict[int, Behavior]:
+    """Pick floor(fraction * N) nodes by sample from ``rng`` and draw each
+    one's strategy from the mix.
+
+    Only compromised nodes get an entry; every other node is honest. The
+    same spec and generator state on the same graph give the same table.
+    """
+    problems = spec.problems()
+    if problems:
+        raise ConfigurationError("; ".join(problems))
     ids = sorted(graph.node_ids())
-    count = math.floor(plan.fraction * len(ids))
-    compromised = sorted(rng.sample(ids, count)) if count else []
-    assignment = {i: Behavior.HONEST for i in ids}
-    names = sorted(plan.mix)
-    weights = [plan.mix[n] for n in names]
-    for node in compromised:
-        choice = rng.choices(names, weights=weights, k=1)[0]
-        assignment[node] = Behavior(choice)
-    return assignment
+    count = math.floor(spec.fraction * len(ids))
+    if not count:
+        return {}
+    compromised = sorted(rng.sample(ids, count))
+    names = sorted(spec.mix)
+    weights = [spec.mix[n] for n in names]
+    return {node: Behavior(rng.choices(names, weights=weights)[0]) for node in compromised}
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,8 @@ class InterceptContext:
 
     catalog: AppCatalog
     keystores: dict[int, dict[int, MacKey]] = field(hash=False)
+    # The scenario's key-strength floor; a swapper's re-MACs obey it too.
+    min_key_bits: int = MIN_KEY_BITS
 
 
 def intercept(behavior: Behavior, message: object, ctx: InterceptContext):
@@ -123,7 +134,8 @@ def intercept(behavior: Behavior, message: object, ctx: InterceptContext):
             store = ctx.keystores[message.sender]
             bound = mac_message(message.app_id, clean)
             macs = tuple(
-                (v, mac(store[v], bound, width_bits=clean.width_bits))
+                (v, mac(store[v], bound, width_bits=clean.width_bits,
+                        min_key_bits=ctx.min_key_bits))
                 for v, _ in message.macs
             )
             return AuthPackage(sender=message.sender, app_id=message.app_id,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from . import metrics as metrics_mod
-from .adversary import Behavior, CompromisePlan, InterceptContext, assign_behaviors, intercept
+from .adversary import Behavior, InterceptContext, assign_behaviors, intercept
 from .apps import AppCatalog, AppId, AppPackage, InstallState, tamper
 from .community import (
     CommunityGraph,
@@ -59,7 +59,7 @@ from .messages import (
 )
 from .multipath import build_auth_package, decide, toc_tou_check, verify_round
 from .protocol import broadcast_call_out, choose_source, filter_old_devices, majority_vote, notify_dissenters
-from .rng import derive_rng, derive_seed
+from .rng import derive_rng
 from .scenario import Scenario
 from .trust import Ledger, combined_trust, update_correctness, update_response
 
@@ -140,33 +140,17 @@ class Simulation:
             if not self.graph.has_edge(a, b):
                 self.graph.add_edge(a, b, key_rng)
 
-        plan = CompromisePlan(fraction=sc.compromise.fraction,
-                              mix=dict(sc.compromise.mix),
-                              seed=derive_seed(self.seed, "compromise"))
-        self.behaviors = assign_behaviors(self.graph, plan)
+        self.behaviors = assign_behaviors(self.graph, sc.compromise,
+                                          derive_rng(self.seed, "compromise"))
 
         for spec in sorted(sc.apps, key=lambda a: a.label()):
             app_id = AppId(spec.name, spec.version)
             payload = derive_rng(self.seed, "payload", spec.label()).randbytes(spec.payload_bytes)
             clean = self.catalog.publish_clean(app_id, payload)
 
-            if spec.holders == "all":
-                holders = list(range(n))
-            elif isinstance(spec.holders, dict):
-                frac = float(spec.holders["fraction"])
-                k = math.floor(frac * n)
-                holders = sorted(derive_rng(self.seed, "holders", spec.label())
-                                 .sample(range(n), k))
-            else:
-                holders = sorted(set(spec.holders))
-
-            if isinstance(spec.tampered_holders, dict):
-                frac = float(spec.tampered_holders["fraction"])
-                k = math.floor(frac * len(holders))
-                pre = sorted(derive_rng(self.seed, "preinfect", spec.label())
-                             .sample(holders, k)) if holders else []
-            else:
-                pre = sorted(set(spec.tampered_holders))
+            holders = self._resolve_holders(spec.holders, range(n), "holders", spec.label())
+            pre = self._resolve_holders(spec.tampered_holders, holders,
+                                        "preinfect", spec.label())
             holders = sorted(set(holders) | set(pre))
 
             # Compromised servers and swappers hold corrupted copies from
@@ -191,7 +175,18 @@ class Simulation:
                     pkg = clean
                 self.installs.install(h, pkg)
 
-        self.ictx = InterceptContext(catalog=self.catalog, keystores=self.graph.keystores)
+        self.ictx = InterceptContext(catalog=self.catalog, keystores=self.graph.keystores,
+                                     min_key_bits=sc.protocol.min_key_bits)
+
+    def _resolve_holders(self, selector: object, pool, label: str, app: str) -> list[int]:
+        """Resolve a holder selector, an id list, {"fraction": f} or "all",
+        to sorted ids; a fraction samples ``pool`` with its own generator."""
+        if selector == "all":
+            return list(pool)
+        if isinstance(selector, dict):
+            k = math.floor(float(selector["fraction"]) * len(pool))
+            return sorted(derive_rng(self.seed, label, app).sample(pool, k))
+        return sorted(set(selector))
 
     # -- helpers ---------------------------------------------------------
 
@@ -389,7 +384,6 @@ class Simulation:
             ledger.drop_peers(summary.left)
         for node in summary.joined:
             self.ledgers[node] = Ledger(node)
-            self.behaviors[node] = Behavior.HONEST
             self.log.append(EV_JOIN, {"node": node, "type": self.graph.nodes[node].node_type})
         for a, b in summary.severed:
             self.log.append(EV_SEVER, {"a": a, "b": b})

@@ -9,22 +9,20 @@ from __future__ import annotations
 
 import copy
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .adversary import Behavior
+from .adversary import CompromiseSpec
 from .community import FormationParams
 from .crypto import DEFAULT_WIDTH_BITS, MIN_KEY_BITS, SUPPORTED_WIDTHS
 from .errors import ScenarioError, UnknownParameterError
 from .multipath import DEFAULT_MAC_FANOUT, DEFAULT_QUORUM
 
 SCHEMA_VERSION = 1
-
-_BEHAVIOR_NAMES = {b.value for b in Behavior if b is not Behavior.HONEST}
-
 
 @dataclass
 class ProtocolParams:
@@ -52,12 +50,6 @@ class AppSpec:
 
     def label(self) -> str:
         return f"{self.name}@{self.version}"
-
-
-@dataclass
-class CompromiseSpec:
-    fraction: float = 0.0
-    mix: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -128,11 +120,19 @@ class Scenario:
         if self.topology == "complete" and self.node_count > 1:
             check(self.formation.max_degree >= self.node_count - 1,
                   "formation.max_degree: too small for a complete initial topology")
+        links = set()
         for e in self.initial_edges:
             ok = (isinstance(e, (list, tuple)) and len(e) == 2
                   and all(isinstance(x, int) and 0 <= x < self.node_count for x in e)
                   and e[0] != e[1])
             check(ok, f"initial_edges: bad entry {e!r}")
+            if ok:
+                links.add((min(e), max(e)))
+        if self.topology == "none":
+            degree = Counter(node for link in links for node in link)
+            over = sorted(node for node, d in degree.items() if d > self.formation.max_degree)
+            check(not over, f"initial_edges: nodes {over} would exceed "
+                            f"formation.max_degree {self.formation.max_degree}")
 
         f = self.formation
         for name in ("join_rate", "leave_rate"):
@@ -160,34 +160,20 @@ class Scenario:
             check(a.payload_bytes >= 0, f"apps.{a.name}: negative payload_bytes")
             check(a.label() not in labels, f"apps: duplicate app {a.label()}")
             labels.add(a.label())
-            if isinstance(a.holders, dict):
-                frac = a.holders.get("fraction")
-                check(isinstance(frac, (int, float)) and 0.0 <= frac <= 1.0,
-                      f"apps.{a.name}.holders: bad fraction {a.holders!r}")
-            elif isinstance(a.holders, list):
-                check(self._ids_in_range(a.holders), f"apps.{a.name}.holders: ids out of range")
-            else:
-                check(a.holders == "all",
-                      f"apps.{a.name}.holders: expected 'all', list, or fraction")
-            if isinstance(a.tampered_holders, dict):
-                frac = a.tampered_holders.get("fraction")
-                check(isinstance(frac, (int, float)) and 0.0 <= frac <= 1.0,
-                      f"apps.{a.name}.tampered_holders: bad fraction")
-            elif isinstance(a.tampered_holders, list):
-                check(self._ids_in_range(a.tampered_holders),
-                      f"apps.{a.name}.tampered_holders: ids out of range")
-            else:
-                problems.append(f"apps.{a.name}.tampered_holders: expected list or fraction")
+            for name in ("holders", "tampered_holders"):
+                selector, where = getattr(a, name), f"apps.{a.name}.{name}"
+                if isinstance(selector, dict):
+                    frac = selector.get("fraction")
+                    check(isinstance(frac, (int, float)) and 0.0 <= frac <= 1.0,
+                          f"{where}: bad fraction {selector!r}")
+                elif isinstance(selector, list):
+                    check(self._ids_in_range(selector), f"{where}: ids out of range")
+                elif name == "tampered_holders":
+                    problems.append(f"{where}: expected list or fraction")
+                else:
+                    check(selector == "all", f"{where}: expected 'all', list, or fraction")
 
-        c = self.compromise
-        check(0.0 <= c.fraction <= 1.0, f"compromise.fraction: {c.fraction} outside [0, 1]")
-        for name, w in c.mix.items():
-            check(name in _BEHAVIOR_NAMES, f"compromise.mix: unknown strategy {name!r}")
-            check(w >= 0, f"compromise.mix.{name}: negative weight")
-        if c.fraction > 0:
-            check(bool(c.mix), "compromise.mix: empty while fraction > 0")
-            check(abs(sum(c.mix.values()) - 1.0) < 1e-9,
-                  "compromise.mix: weights must sum to 1")
+        problems += self.compromise.problems()
 
         w = self.workload
         check(w.requests_per_epoch >= 0, "workload.requests_per_epoch: negative")

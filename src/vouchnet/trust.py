@@ -17,7 +17,8 @@ from .errors import VouchnetError
 
 STRANGER_RESP = 0.5
 STRANGER_COND = 0.5
-DEFAULT_ALPHA = 0.1
+# Smoothing factor of both running estimates.
+ALPHA = 0.1
 
 
 @dataclass
@@ -29,11 +30,8 @@ class TrustRecord:
 class Ledger:
     """One device's trust records about its peers."""
 
-    def __init__(self, owner: int, alpha: float = DEFAULT_ALPHA) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise VouchnetError(f"smoothing factor {alpha} outside (0, 1]")
+    def __init__(self, owner: int) -> None:
         self.owner = owner
-        self.alpha = alpha
         self._records: dict[int, TrustRecord] = {}
 
     def get_record(self, peer: int) -> TrustRecord:
@@ -60,7 +58,7 @@ def update_response(ledger: Ledger, peer: int, responded: bool) -> TrustRecord:
     """Exponentially smooth the response estimate toward 1 or 0."""
     rec = ledger._touch(peer)
     target = 1.0 if responded else 0.0
-    rec.resp_prob = (1.0 - ledger.alpha) * rec.resp_prob + ledger.alpha * target
+    rec.resp_prob = (1.0 - ALPHA) * rec.resp_prob + ALPHA * target
     return rec
 
 
@@ -68,7 +66,7 @@ def update_correctness(ledger: Ledger, peer: int, agreed_with_majority: bool) ->
     """Smooth conditional trust after a vote the peer took part in."""
     rec = ledger._touch(peer)
     target = 1.0 if agreed_with_majority else 0.0
-    rec.cond_trust = (1.0 - ledger.alpha) * rec.cond_trust + ledger.alpha * target
+    rec.cond_trust = (1.0 - ALPHA) * rec.cond_trust + ALPHA * target
     return rec
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from vouchnet.adversary import (
     Behavior,
-    CompromisePlan,
+    CompromiseSpec,
     InterceptContext,
     assign_behaviors,
     intercept,
@@ -43,44 +43,39 @@ def make_ctx():
 
 def test_floor_of_fraction_nodes_compromised():
     g = graph_of(10)
-    plan = CompromisePlan(fraction=0.3, mix={"free_rider": 1.0}, seed=5)
-    assignment = assign_behaviors(g, plan)
-    bad = [n for n, b in assignment.items() if b is not Behavior.HONEST]
-    assert len(bad) == 3
-    assert all(assignment[n] is Behavior.FREE_RIDER for n in bad)
+    spec = CompromiseSpec(fraction=0.3, mix={"free_rider": 1.0})
+    assignment = assign_behaviors(g, spec, random.Random(5))
+    assert len(assignment) == 3
+    assert set(assignment.values()) == {Behavior.FREE_RIDER}
 
 
 def test_assignment_reproducible_per_seed():
     g = graph_of(10)
-    plan = CompromisePlan(fraction=0.5,
-                          mix={"free_rider": 0.5, "lying_verifier": 0.5}, seed=9)
-    assert assign_behaviors(g, plan) == assign_behaviors(graph_of(10), plan)
+    spec = CompromiseSpec(fraction=0.5, mix={"free_rider": 0.5, "lying_verifier": 0.5})
+    assert (assign_behaviors(g, spec, random.Random(9))
+            == assign_behaviors(graph_of(10), spec, random.Random(9)))
 
 
 def test_zero_fraction_is_all_honest():
     g = graph_of(6)
-    plan = CompromisePlan(fraction=0.0, mix={}, seed=0)
-    assert set(assign_behaviors(g, plan).values()) == {Behavior.HONEST}
+    assert assign_behaviors(g, CompromiseSpec(), random.Random(0)) == {}
 
 
 def test_mix_weights_must_sum_to_one():
     g = graph_of(4)
-    plan = CompromisePlan(fraction=0.5, mix={"free_rider": 0.4}, seed=0)
-    with pytest.raises(ConfigurationError):
-        assign_behaviors(g, plan)
+    spec = CompromiseSpec(fraction=0.5, mix={"free_rider": 0.4})
+    with pytest.raises(ConfigurationError, match="must sum to 1"):
+        assign_behaviors(g, spec, random.Random(0))
 
 
 def test_mix_rejects_unknown_and_honest_strategies():
     g = graph_of(4)
-    with pytest.raises(ConfigurationError):
-        assign_behaviors(g, CompromisePlan(fraction=0.5, mix={"store_blocker": 1.0}))
-    with pytest.raises(ConfigurationError):
-        assign_behaviors(g, CompromisePlan(fraction=0.5, mix={"honest": 1.0}))
-
-
-def test_store_blocker_is_not_a_behavior():
-    with pytest.raises(ConfigurationError):
-        Behavior.parse("store_blocker")
+    with pytest.raises(ConfigurationError, match="unknown strategy 'store_blocker'"):
+        assign_behaviors(g, CompromiseSpec(fraction=0.5, mix={"store_blocker": 1.0}),
+                         random.Random(0))
+    with pytest.raises(ConfigurationError, match="unknown strategy 'honest'"):
+        assign_behaviors(g, CompromiseSpec(fraction=0.5, mix={"honest": 1.0}),
+                         random.Random(0))
 
 
 # -- intercept table -----------------------------------------------------------

@@ -278,6 +278,26 @@ def test_swapper_source_is_caught_by_digest_binding():
     assert report.epochs[-1].infections == 1  # the swapper's own copy
 
 
+def test_swapper_re_macs_under_the_scenario_key_floor():
+    # Every link key is 64 bits, which the scenario allows; the swapper's
+    # re-MAC must allow it too instead of applying the library's 128.
+    sc = Scenario.from_dict({
+        "seed": 1, "node_count": 3, "topology": "complete",
+        "protocol": {"min_key_bits": 64},
+        "old_devices": {"fraction": 1.0, "key_bits": 64},
+        "compromise": {"fraction": 0.4, "mix": {"tocttou_swapper": 1.0}},
+        "apps": [{"name": "a", "holders": [0]}],
+        "workload": {"explicit": [{"epoch": 0, "requester": 1, "app": "a@1"}]},
+    })
+    sim = Simulation(sc)
+    assert sim.behaviors == {0: Behavior.TOCTTOU_SWAPPER}
+    _, report = sim.run()
+    (trace,) = sim.traces
+    assert trace.reason == REASON_FINGERPRINT
+    assert not trace.infected_install
+    assert report.totals()["tampered_accepted"] == 0
+
+
 def test_substitution_rejected_when_delivery_bound_to_vote():
     sc = base_scenario(node_count=6)
     sc.study.delivery_substitution = True

@@ -1,5 +1,6 @@
-"""Scenario set-up rules: the seed a run reports, the type allocation, and
-the validation of pre-tampered holder lists."""
+"""Scenario set-up rules: the seed a run reports, the type allocation, the
+validation of pre-tampered holder lists, the compromise rules and the
+degree cap on initial edges."""
 
 import json
 from collections import Counter
@@ -60,3 +61,36 @@ def test_tampered_holders_must_be_a_list_or_fraction():
     sc = Scenario(node_count=4, apps=[AppSpec(name="maps", tampered_holders="all")])
     with pytest.raises(ScenarioError, match="expected list or fraction"):
         sc.validate()
+
+
+COMPROMISE_RULES = [
+    ({"fraction": 1.5, "mix": {"free_rider": 1.0}}, "compromise.fraction"),
+    ({"fraction": 0.5, "mix": {"store_blocker": 1.0}}, "compromise.mix"),
+    ({"fraction": 0.5, "mix": {"honest": 1.0}}, "compromise.mix"),
+    ({"fraction": 0.5, "mix": {"free_rider": 1.5, "lying_verifier": -0.5}},
+     "compromise.mix.lying_verifier"),
+    ({"fraction": 0.5, "mix": {}}, "compromise.mix"),
+    # A mix that does not sum to 1 is refused even when no node is drawn.
+    ({"fraction": 0.0, "mix": {"free_rider": 0.5}}, "compromise.mix"),
+    ({"fraction": 0.5, "mix": {"free_rider": 0.5}}, "compromise.mix"),
+]
+
+
+@pytest.mark.parametrize("compromise, path", COMPROMISE_RULES,
+                         ids=["fraction", "unknown", "honest", "negative", "empty",
+                              "sum-at-zero", "sum"])
+def test_each_compromise_rule_names_its_path(compromise, path):
+    with pytest.raises(ScenarioError) as exc:
+        Scenario.from_dict({"node_count": 4, "compromise": compromise})
+    assert [f.split(":")[0] for f in exc.value.fields] == [path]
+
+
+def test_initial_edges_over_the_degree_cap_are_refused():
+    data = {"node_count": 3, "formation": {"max_degree": 1},
+            "initial_edges": [[0, 1], [0, 2]]}
+    with pytest.raises(ScenarioError, match=r"initial_edges: nodes \[0\] would exceed"):
+        Scenario.from_dict(data)
+    # A link listed in both directions is one link.
+    data["initial_edges"] = [[0, 1], [1, 0]]
+    sim = Simulation(Scenario.from_dict(data))
+    assert sim.graph.edges() == [(0, 1)]

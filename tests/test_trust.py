@@ -15,9 +15,9 @@ from vouchnet.trust import (
 )
 
 
-def ledger_with(records, alpha=0.1):
+def ledger_with(records):
     """records: {peer: (resp_prob, cond_trust)}"""
-    ledger = Ledger(owner=0, alpha=alpha)
+    ledger = Ledger(owner=0)
     for peer, (resp, cond) in records.items():
         rec = ledger._touch(peer)
         rec.resp_prob = resp
@@ -129,13 +129,13 @@ def test_invariant_under_uniform_scaling_of_weights():
 
 
 def test_response_update_from_prior():
-    ledger = Ledger(0, alpha=0.1)
+    ledger = Ledger(0)
     rec = update_response(ledger, 1, True)
     assert rec.resp_prob == pytest.approx(0.55, abs=1e-12)
 
 
 def test_zero_is_a_fixed_point_for_silence():
-    ledger = Ledger(0, alpha=0.1)
+    ledger = Ledger(0)
     ledger._touch(1).resp_prob = 0.0
     for _ in range(5):
         rec = update_response(ledger, 1, False)
@@ -144,7 +144,7 @@ def test_zero_is_a_fixed_point_for_silence():
 
 def test_response_closed_form_convergence():
     # After n straight responses from the 0.5 prior: 1 - 0.5 * 0.9^n.
-    ledger = Ledger(0, alpha=0.1)
+    ledger = Ledger(0)
     for n in range(1, 101):
         rec = update_response(ledger, 1, True)
         assert rec.resp_prob == pytest.approx(1.0 - 0.5 * 0.9 ** n, abs=1e-12)
@@ -152,20 +152,20 @@ def test_response_closed_form_convergence():
 
 
 def test_correctness_update_from_prior():
-    ledger = Ledger(0, alpha=0.1)
+    ledger = Ledger(0)
     rec = update_correctness(ledger, 1, True)
     assert rec.cond_trust == pytest.approx(0.55, abs=1e-12)
 
 
 def test_correctness_drop_after_disagreement():
-    ledger = Ledger(0, alpha=0.1)
+    ledger = Ledger(0)
     ledger._touch(1).cond_trust = 1.0
     rec = update_correctness(ledger, 1, False)
     assert rec.cond_trust == pytest.approx(0.9, abs=1e-12)
 
 
 def test_alternating_outcomes_stay_bounded():
-    ledger = Ledger(0, alpha=0.1)
+    ledger = Ledger(0)
     values = []
     for step in range(200):
         rec = update_correctness(ledger, 1, step % 2 == 0)
@@ -177,14 +177,8 @@ def test_alternating_outcomes_stay_bounded():
 
 
 def test_updates_only_touch_their_peer():
-    ledger = Ledger(0, alpha=0.1)
+    ledger = Ledger(0)
     update_response(ledger, 1, True)
     assert ledger.get_record(2).resp_prob == 0.5
     assert ledger.known_peers() == [1]
 
-
-def test_bad_alpha_rejected():
-    with pytest.raises(VouchnetError):
-        Ledger(0, alpha=0.0)
-    with pytest.raises(VouchnetError):
-        Ledger(0, alpha=1.5)
