@@ -49,7 +49,6 @@ from .events import EventLog, EventRecord, RetrievalTrace
 from .messages import (
     AcceptanceDecision,
     AuthPackage,
-    CallOut,
     FingerprintReply,
     SuspicionNotice,
     VerifyReply,

@@ -1,15 +1,16 @@
 """Node behavior strategies and compromise assignment.
 
-A behavior is a stateless transform applied to every message a node is
-about to send. Honest nodes pass messages through; the other strategies
-drop, invert, or rewrite specific message types. Store blocking is a
-scenario-level condition, not a node behavior, so it does not appear here.
+A behavior is a stateless transform applied to the messages a
+compromised node is about to send: it drops, inverts, or rewrites specific
+message types. Store blocking is a scenario-level condition, not a node
+behavior, so it does not appear here.
 
 ``CompromiseSpec`` is the scenario's ``compromise`` section and the only
 statement of its rules; ``Scenario.validate`` reports them and
 ``assign_behaviors`` refuses a spec that breaks one. The behavior table it
-returns lists compromised nodes only, so readers look nodes up with
-``.get(node, Behavior.HONEST)``.
+returns lists compromised nodes only: honest means absent, so readers test
+``node in behaviors``, and the engine consults ``intercept`` only for nodes
+in the table.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ if TYPE_CHECKING:  # avoid a cycle; the graph only supplies node ids here
 
 
 class Behavior(str, Enum):
-    HONEST = "honest"
     TAMPERED_SERVER = "tampered_server"      # holds and serves corrupted copies
     TOCTTOU_SWAPPER = "tocttou_swapper"      # reports clean, delivers corrupted
     LYING_VERIFIER = "lying_verifier"        # inverts MAC verdicts
@@ -38,7 +38,7 @@ class Behavior(str, Enum):
 
 
 # The names a compromise mix may weight; honest is what every node is by default.
-_STRATEGIES = frozenset(b.value for b in Behavior if b is not Behavior.HONEST)
+_STRATEGIES = frozenset(b.value for b in Behavior)
 
 
 @dataclass
@@ -101,12 +101,12 @@ class InterceptContext:
 
 
 def intercept(behavior: Behavior, message: object, ctx: InterceptContext):
-    """Apply a node's strategy to one outbound message.
+    """Apply a compromised node's strategy to one outbound message.
 
     Returns the (possibly rewritten) message, or None when the node stays
-    silent. Honest behavior is the identity on every message type.
+    silent.
     """
-    if behavior is Behavior.HONEST or behavior is Behavior.TAMPERED_SERVER:
+    if behavior is Behavior.TAMPERED_SERVER:
         # A tampered server's install state already carries the corruption,
         # so both its digest report and its delivery are consistently bad.
         return message

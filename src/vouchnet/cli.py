@@ -8,6 +8,7 @@ import json
 import sys
 from pathlib import Path
 
+from .crypto import SUPPORTED_WIDTHS
 from .engine import run
 from .errors import VouchnetError
 from .metrics import bandwidth_table
@@ -53,6 +54,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_bandwidth(args: argparse.Namespace) -> int:
+    if args.peers < 0:
+        raise VouchnetError(f"--peers must not be negative, got {args.peers}")
+    if args.width not in SUPPORTED_WIDTHS:
+        raise VouchnetError(f"--width must be one of {SUPPORTED_WIDTHS}, got {args.width}")
     table = bandwidth_table(args.peers, args.width)
     print(f"# one retrieval, {args.peers} responders and {args.peers} "
           f"answering verifiers, {args.width}-bit units")
@@ -112,10 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VouchnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (VouchnetError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -190,11 +190,9 @@ class Simulation:
 
     # -- helpers ---------------------------------------------------------
 
-    def _behavior(self, node: int) -> Behavior:
-        return self.behaviors.get(node, Behavior.HONEST)
-
     def _interceptor(self, node: int, message: object):
-        return intercept(self._behavior(node), message, self.ictx)
+        behavior = self.behaviors.get(node)
+        return message if behavior is None else intercept(behavior, message, self.ictx)
 
     def _decided(self, trace: RetrievalTrace, decision: AcceptanceDecision) -> str:
         self.log.append(EV_DECISION, {"accepted": decision.accepted, "reason": decision.reason,
@@ -238,8 +236,8 @@ class Simulation:
         rng = derive_rng(self.seed, "retrieval", trace.retrieval)
 
         self.rounds[requester] = self.rounds.get(requester, 0) + 1
-        call, replies, polled = broadcast_call_out(
-            requester, app_id, self.rounds[requester], self.graph, self.installs,
+        polled, replies = broadcast_call_out(
+            requester, app_id, self.graph, self.installs,
             width_bits=self.width, hop_limit=sc.protocol.hop_limit,
             interceptor=self._interceptor)
         self.log.append(EV_CALL_OUT, {"requester": requester, "app": trace.app_label,

@@ -28,13 +28,6 @@ def mac_message(app_id: AppId, digest: Digest) -> bytes:
 
 
 @dataclass(frozen=True)
-class CallOut:
-    requester: int
-    app_id: AppId
-    round_no: int
-
-
-@dataclass(frozen=True)
 class FingerprintReply:
     responder: int
     app_id: AppId

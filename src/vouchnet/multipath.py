@@ -81,9 +81,10 @@ def verify_round(requester: int, auth: AuthPackage, graph: CommunityGraph,
     came back. Each verifier answers from its own key material; a neighbor
     that has since lost its link to the sender, or whose behavior swallows
     the reply, is polled but contributes nothing. A broken key store
-    surfaces as an error rather than a quiet negative verdict. The
-    requester does not enter the check: a verifier answers the same
-    whoever asks.
+    surfaces as an error rather than a quiet negative verdict.
+    ``requester`` is unused, since a verifier answers the same whoever
+    asks; it stays only for the positional call shape
+    ``verify_round(requester, auth, graph, interceptor=...)``.
     """
     replies: list[VerifyReply] = []
     bound = mac_message(auth.app_id, auth.claimed_digest)

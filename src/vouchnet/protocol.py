@@ -17,25 +17,24 @@ from .apps import AppId, InstallState
 from .community import CommunityGraph
 from .crypto import MIN_KEY_BITS, DEFAULT_WIDTH_BITS
 from .errors import NoMajorityError, NoSourceError
-from .messages import CallOut, FingerprintReply, SuspicionNotice, VoteOutcome
+from .messages import FingerprintReply, SuspicionNotice, VoteOutcome
 
 Interceptor = Callable[[int, object], object]
 
 
-def broadcast_call_out(requester: int, app_id: AppId, round_no: int,
+def broadcast_call_out(requester: int, app_id: AppId,
                        graph: CommunityGraph, installs: InstallState,
                        width_bits: int = DEFAULT_WIDTH_BITS,
                        hop_limit: int | None = None,
                        interceptor: Interceptor | None = None,
-                       ) -> tuple[CallOut, list[FingerprintReply], list[int]]:
+                       ) -> tuple[list[int], list[FingerprintReply]]:
     """Ask the reachable community for fingerprints of one app.
 
     Every reachable holder answers with the digest of its own copy, subject
     to its behavior (the interceptor may rewrite or swallow a reply).
-    Returns the call-out, the replies in responder-id order, and the full
-    polled set so the caller can score silence.
+    Returns the polled ids, so the caller can score silence, and the
+    replies in responder-id order.
     """
-    call = CallOut(requester=requester, app_id=app_id, round_no=round_no)
     polled = graph.reachable_from(requester, hop_limit)
     replies: list[FingerprintReply] = []
     for node in polled:
@@ -49,7 +48,7 @@ def broadcast_call_out(requester: int, app_id: AppId, round_no: int,
             reply = interceptor(node, reply)
         if reply is not None:
             replies.append(reply)
-    return call, replies, polled
+    return polled, replies
 
 
 def filter_old_devices(replies: Iterable[FingerprintReply],

@@ -81,14 +81,14 @@ def test_mix_rejects_unknown_and_honest_strategies():
 # -- intercept table -----------------------------------------------------------
 
 
-def test_honest_is_identity_on_every_message():
+def test_tampered_server_is_identity_on_every_message():
     g, catalog, clean, ctx = make_ctx()
     reply = FingerprintReply(responder=1, app_id=APP, digest=clean.fingerprint(),
                              key_length_bits=256)
     verdict = VerifyReply(verifier=1, verdict=True)
     auth = build_auth_package(0, clean, g)
     for message in (reply, verdict, auth):
-        assert intercept(Behavior.HONEST, message, ctx) is message
+        assert intercept(Behavior.TAMPERED_SERVER, message, ctx) is message
 
 
 def test_free_rider_drops_replies_and_verdicts():

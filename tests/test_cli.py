@@ -34,6 +34,20 @@ def test_verify_bandwidth_scales_with_width(capsys):
     assert "total_bits 10240" in out
 
 
+def test_verify_bandwidth_refuses_negative_peers(capsys):
+    assert main(["verify-bandwidth", "--peers", "-3", "--width", "224"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "--peers" in captured.err
+    assert "total_bits" not in captured.out
+
+
+def test_verify_bandwidth_refuses_unsupported_width(capsys):
+    assert main(["verify-bandwidth", "--peers", "10", "--width", "100"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "--width" in captured.err
+    assert "total_bits" not in captured.out
+
+
 def test_run_writes_artifacts(tmp_path, scenario_file, capsys):
     out_dir = tmp_path / "artifacts"
     assert main(["run", str(scenario_file), "--out", str(out_dir)]) == 0
@@ -107,6 +121,19 @@ def test_report_round_trip(tmp_path, scenario_file, capsys):
 def test_report_needs_summary(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 1
     assert "summary.json" in capsys.readouterr().err
+
+
+def test_sweep_reports_malformed_grid_json(tmp_path, scenario_file, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"protocol.quorum": [0.5,')
+    assert main(["sweep", str(scenario_file), "--grid", str(grid)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_report_reports_malformed_summary_json(tmp_path, capsys):
+    (tmp_path / "summary.json").write_text('{"retrievals": ')
+    assert main(["report", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_artifacts_never_contain_key_material(tmp_path, scenario_file):

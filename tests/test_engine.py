@@ -248,7 +248,7 @@ def test_compromised_majority_accuses_the_honest_holder():
     sc.compromise.mix = {"tampered_server": 1.0}
     sc.workload.explicit = [{"epoch": 0, "requester": 1, "app": "maps@2"}]
     sim = Simulation(sc)
-    assert sim.behaviors.get(1, Behavior.HONEST) is Behavior.HONEST
+    assert 1 not in sim.behaviors
     _, report = sim.run()
     (row,) = report.epochs
     counts = (row.notices, row.false_accusations, row.tampered_accepted)

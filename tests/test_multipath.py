@@ -134,8 +134,9 @@ def test_lying_verifier_inverts_true_verdict():
     ctx = InterceptContext(catalog=catalog, keystores=g.keystores)
 
     def interceptor(node, message):
-        behavior = Behavior.LYING_VERIFIER if node == 2 else Behavior.HONEST
-        return intercept(behavior, message, ctx)
+        if node != 2:
+            return message
+        return intercept(Behavior.LYING_VERIFIER, message, ctx)
 
     _, replies = verify_round(100, auth, g, interceptor=interceptor)
     verdicts = {r.verifier: r.verdict for r in replies}
@@ -148,8 +149,9 @@ def test_free_rider_verifier_stays_silent():
     ctx = InterceptContext(catalog=catalog, keystores=g.keystores)
 
     def interceptor(node, message):
-        behavior = Behavior.FREE_RIDER if node == 1 else Behavior.HONEST
-        return intercept(behavior, message, ctx)
+        if node != 1:
+            return message
+        return intercept(Behavior.FREE_RIDER, message, ctx)
 
     _, replies = verify_round(100, auth, g, interceptor=interceptor)
     assert sorted(r.verifier for r in replies) == [2, 3]

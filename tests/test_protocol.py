@@ -163,8 +163,7 @@ def test_only_holders_reply():
     g, catalog, installs, clean = build_world()
     installs.install(1, clean)
     installs.install(2, clean)
-    call, replies, polled = broadcast_call_out(0, APP, 1, g, installs)
-    assert call.round_no == 1
+    polled, replies = broadcast_call_out(0, APP, g, installs)
     assert polled == [1, 2, 3, 4]
     assert [r.responder for r in replies] == [1, 2]
     assert all(r.digest == clean.fingerprint() for r in replies)
@@ -174,7 +173,7 @@ def test_unreachable_holders_not_polled():
     g, catalog, installs, clean = build_world()
     g.remove_edge(0, 3)
     installs.install(3, clean)
-    _, replies, polled = broadcast_call_out(0, APP, 1, g, installs)
+    polled, replies = broadcast_call_out(0, APP, g, installs)
     assert 3 not in polled
     assert replies == []
 
@@ -187,9 +186,11 @@ def test_free_rider_swallows_reply():
     behaviors = {1: Behavior.FREE_RIDER}
 
     def interceptor(node, message):
-        return intercept(behaviors.get(node, Behavior.HONEST), message, ctx)
+        if node not in behaviors:
+            return message
+        return intercept(behaviors[node], message, ctx)
 
-    _, replies, _ = broadcast_call_out(0, APP, 1, g, installs, interceptor=interceptor)
+    _, replies = broadcast_call_out(0, APP, g, installs, interceptor=interceptor)
     assert [r.responder for r in replies] == [2]
 
 
@@ -200,10 +201,11 @@ def test_swapper_reports_clean_digest_for_corrupted_copy():
     ctx = InterceptContext(catalog=catalog, keystores=g.keystores)
 
     def interceptor(node, message):
-        behavior = Behavior.TOCTTOU_SWAPPER if node == 1 else Behavior.HONEST
-        return intercept(behavior, message, ctx)
+        if node != 1:
+            return message
+        return intercept(Behavior.TOCTTOU_SWAPPER, message, ctx)
 
-    _, replies, _ = broadcast_call_out(0, APP, 1, g, installs, interceptor=interceptor)
+    _, replies = broadcast_call_out(0, APP, g, installs, interceptor=interceptor)
     assert replies[0].digest == clean.fingerprint()
     assert installs.get(1, APP).is_tampered
 
@@ -214,7 +216,7 @@ def test_tampered_server_is_outvoted_by_clean_majority():
     installs.install(1, clean)
     installs.install(2, clean)
     installs.install(3, bad)
-    _, replies, _ = broadcast_call_out(0, APP, 1, g, installs)
+    _, replies = broadcast_call_out(0, APP, g, installs)
     outcome = majority_vote(replies)
     assert outcome.majority_digest == clean.fingerprint()
     assert outcome.supporters == (1, 2)

@@ -1,8 +1,10 @@
 """The retrieval path on a connected community, where a call-out draws
-dozens of replies: a pinned digest, and the engine scores exactly the
-vote's responders and filters exactly the replies with weak keys."""
+dozens of replies: a pinned digest, the engine scores exactly the vote's
+responders and filters exactly the replies with weak keys, and only
+compromised nodes have their messages passed through ``intercept``."""
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from vouchnet import Simulation
 from vouchnet.events import EV_OLD_FILTERED, EV_REPLY, EV_VOTE
 from vouchnet.scenario import AppSpec, Scenario
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CONNECTED_DIGEST = "f291e13345f997fcdd281526601ecfd26241e91a11b15559f0e6ba92"
 
 
@@ -52,9 +55,9 @@ def observed(request):
         return real_update(ledger, peer, agreed, *args, **kwargs)
 
     def broadcast_call_out(*args, **kwargs):
-        call, got, polled = real_broadcast(*args, **kwargs)
+        polled, got = real_broadcast(*args, **kwargs)
         replies[sim.retrieval_count - 1] = list(got)
-        return call, got, polled
+        return polled, got
 
     real_update, real_broadcast = engine.update_correctness, engine.broadcast_call_out
     with pytest.MonkeyPatch.context() as mp:
@@ -102,3 +105,35 @@ def test_old_filtered_are_the_weak_key_replies_in_order(observed):
             assert sorted(voters) == sorted(r.responder for r in got
                                             if r.key_length_bits >= min_bits)
     assert filtered > 0
+
+
+def intercepted_nodes(sim: Simulation) -> list[int]:
+    """Run ``sim`` and return the sender of every message the engine hands
+    to ``intercept``, in call order."""
+    seen: list[int] = []
+
+    def intercept(behavior, message, ctx):
+        seen.append(next(getattr(message, attr) for attr in ("responder", "verifier", "sender")
+                         if hasattr(message, attr)))
+        return real_intercept(behavior, message, ctx)
+
+    real_intercept = engine.intercept
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "intercept", intercept)
+        sim.run()
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_intercept_sees_compromised_nodes_only(name):
+    sim = Simulation(RUNS[name]())
+    seen = intercepted_nodes(sim)
+    assert seen
+    assert set(seen) <= set(sim.behaviors)
+
+
+def test_a_run_without_compromise_never_calls_intercept():
+    sim = Simulation(Scenario.from_file(SCENARIOS / "smoke.json"))
+    assert sim.scenario.compromise.fraction == 0 and not sim.behaviors
+    assert intercepted_nodes(sim) == []
+    assert sim.traces
