@@ -73,6 +73,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not summary_path.exists():
         raise VouchnetError(f"no summary.json under {args.run_dir}")
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    if not isinstance(summary, dict):
+        raise VouchnetError(f"{summary_path} must hold a JSON object")
     for key in sorted(summary):
         print(f"{key} {summary[key]}")
     return 0
@@ -117,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (VouchnetError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (VouchnetError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,10 +3,13 @@
 Fingerprints are SHA-3 digests at a configurable width (224 or 256 bits).
 MACs are HMAC over the same SHA-3 function, so a tag occupies exactly one
 fingerprint-width unit on the wire and both primitives are priced alike by
-the bandwidth model. ``mac`` and ``verify_mac`` each compute the HMAC in one
-``hmac.digest`` call, and verifying compares the raw bytes. Keys are
-minted only when two devices link (``CommunityGraph.add_edge``), and each
-device's key store is a plain ``dict`` of neighbor id to ``MacKey``.
+the bandwidth model. ``mac`` and ``verify_mac`` share one HMAC routine
+(RFC 2104): on a key's first use at a width it absorbs the keyed inner and
+outer pads into two SHA-3 states and keeps them on the key, and every tag
+after that copies the two states and hashes only the message and the inner
+digest. Verifying compares the raw bytes. Keys are minted only when two
+devices link (``CommunityGraph.add_edge``), and each device's key store is
+a plain ``dict`` of neighbor id to ``MacKey``.
 """
 
 from __future__ import annotations
@@ -45,12 +48,15 @@ class MacKey:
     """Shared symmetric key material for one pair of devices.
 
     ``repr`` omits the material so keys never leak through logs or
-    serialized metrics.
+    serialized metrics. ``_pads`` holds the keyed HMAC states per digest
+    width once the key has been used at that width; it takes no part in
+    equality, hashing or ``repr``.
     """
 
     key_id: str
     material: bytes = field(repr=False)
     length_bits: int
+    _pads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __repr__(self) -> str:
         return f"MacKey(id={self.key_id!r}, bits={self.length_bits})"
@@ -78,6 +84,30 @@ def fingerprint(payload: bytes, width_bits: int = DEFAULT_WIDTH_BITS) -> Digest:
     return Digest(bits=h(payload).digest(), width_bits=width_bits)
 
 
+def _hmac_tag(key: MacKey, message: bytes, width_bits: int) -> bytes:
+    """HMAC-SHA3 of ``message`` under ``key``, byte for byte as RFC 2104.
+
+    The pads are derived on the key's first use at ``width_bits`` and
+    reused after that, since a link's key never changes.
+    """
+    pads = key._pads.get(width_bits)
+    if pads is None:
+        h = _hash_for(width_bits)
+        inner = h()
+        block = inner.block_size
+        material = key.material
+        if len(material) > block:
+            material = h(material).digest()
+        material = material.ljust(block, b"\0")
+        inner.update(material.translate(_hmac.trans_36))
+        pads = key._pads[width_bits] = (inner, h(material.translate(_hmac.trans_5C)))
+    inner = pads[0].copy()
+    inner.update(message)
+    outer = pads[1].copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
 def _check_strength(key: MacKey, min_key_bits: int) -> None:
     if key.length_bits < min_key_bits:
         raise KeyStrengthError(
@@ -93,8 +123,8 @@ def mac(key: MacKey, message: bytes, width_bits: int = DEFAULT_WIDTH_BITS,
     the same number of bits on the wire.
     """
     _check_strength(key, min_key_bits)
-    raw = _hmac.digest(key.material, message, _hash_for(width_bits))
-    return MacTag(key_id=key.key_id, tag=raw, width_bits=width_bits)
+    return MacTag(key_id=key.key_id, tag=_hmac_tag(key, message, width_bits),
+                  width_bits=width_bits)
 
 
 def verify_mac(key: MacKey, message: bytes, tag: MacTag,
@@ -104,11 +134,11 @@ def verify_mac(key: MacKey, message: bytes, tag: MacTag,
     A key-id mismatch raises rather than returning False: it indicates the
     caller presented the tag against the wrong pairwise key, which must not
     be conflated with a forged message. A key below the minimum raises
-    ``KeyStrengthError`` whatever minimum the tag was made under. The
-    expected tag is recomputed in full on every call.
+    ``KeyStrengthError`` whatever minimum the tag was made under. Both
+    checks run on every call, before the key's cached HMAC states are
+    touched; the expected tag is then recomputed from those states.
     """
     if tag.key_id != key.key_id:
         raise KeyMismatchError(f"tag was made under {tag.key_id!r}, not {key.key_id!r}")
     _check_strength(key, min_key_bits)
-    expected = _hmac.digest(key.material, message, _hash_for(tag.width_bits))
-    return _hmac.compare_digest(expected, tag.tag)
+    return _hmac.compare_digest(_hmac_tag(key, message, tag.width_bits), tag.tag)

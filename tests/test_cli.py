@@ -153,3 +153,22 @@ def test_artifacts_never_contain_key_material(tmp_path, scenario_file):
         blob = path.read_text(encoding="utf-8").lower()
         for secret in secrets:
             assert secret not in blob, f"key material leaked into {path.name}"
+
+
+@pytest.mark.parametrize("summary", ["[1, 2]", '"abc"'])
+def test_report_refuses_summary_that_is_not_an_object(tmp_path, capsys, summary):
+    (tmp_path / "summary.json").write_text(summary)
+    assert main(["report", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_reports_out_path_that_is_a_file(tmp_path, scenario_file, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", str(scenario_file), "--out", str(taken)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_reports_scenario_path_that_is_a_directory(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from vouchnet.community import CommunityGraph, NodeProfile
+from vouchnet import crypto
 from vouchnet.crypto import (
     Digest,
     MacKey,
@@ -142,6 +143,50 @@ def test_mac_matches_reference_hmac(width):
     message = b"app:lamp:1"
     expected = hmac.new(key.material, message, getattr(hashlib, f"sha3_{width}")).digest()
     assert mac(key, message, width_bits=width).tag == expected
+
+
+# 1152 bits is exactly the SHA3-224 block (144 bytes) and longer than the
+# SHA3-256 block (136 bytes); 1160 and 2048 bits are longer than both, so
+# the key is hashed before padding, as RFC 2104 requires.
+@pytest.mark.parametrize("bits", [8, 64, 256, 1152, 1160, 2048])
+@pytest.mark.parametrize("widths", [(224, 256), (256, 224)])
+def test_tags_match_reference_hmac_across_key_lengths_and_widths(bits, widths):
+    key = make_key(bits=bits, seed=bits)
+    for width in widths:
+        for message in (b"", b"app:lamp:1", bytes(range(256)) * 3):
+            tag = mac(key, message, width_bits=width, min_key_bits=8)
+            assert tag.tag == hmac.digest(key.material, message,
+                                          getattr(hashlib, f"sha3_{width}"))
+            assert verify_mac(key, message, tag, min_key_bits=8)
+    if bits < 128:  # the cached states never bypass the strength check
+        with pytest.raises(KeyStrengthError):
+            mac(key, b"m", width_bits=widths[0])
+        with pytest.raises(KeyStrengthError):
+            verify_mac(key, b"m", tag)
+
+
+def test_key_derives_its_hmac_states_once_per_width(monkeypatch):
+    built = []
+    for width, make in list(crypto._HASHES.items()):
+        def counted(*args, _make=make):
+            built.append(1)
+            return _make(*args)
+        monkeypatch.setitem(crypto._HASHES, width, counted)
+
+    key = make_key(bits=256, seed=3)
+    tag = mac(key, b"m", width_bits=224)
+    before = len(built)
+    for _ in range(100):
+        assert verify_mac(key, b"m", tag)
+    assert len(built) == before
+    mac(key, b"m", width_bits=256)
+    assert len(built) == before + 2
+
+    fresh = MacKey(key_id=key.key_id, material=key.material, length_bits=key.length_bits)
+    assert key == fresh
+    assert hash(key) == hash(fresh)
+    assert repr(key) == repr(fresh)
+    assert key.material.hex() not in repr(key)
 
 
 def test_key_repr_hides_material():
