@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .crypto import DEFAULT_WIDTH_BITS, Digest, fingerprint
@@ -35,15 +35,21 @@ class AppPackage:
 
     ``adversary`` is the id of the device (or campaign) that produced a
     tampered variant; it is None for store-published packages.
+    ``_digests`` holds the payload's digest per width once it has been
+    computed; it takes no part in equality, hashing or ``repr``.
     """
 
     app_id: AppId
     payload: bytes
     origin: str = ORIGIN_STORE
     adversary: int | None = None
+    _digests: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def fingerprint(self, width_bits: int = DEFAULT_WIDTH_BITS) -> Digest:
-        return fingerprint(self.payload, width_bits)
+        digest = self._digests.get(width_bits)
+        if digest is None:
+            digest = self._digests[width_bits] = fingerprint(self.payload, width_bits)
+        return digest
 
     @property
     def is_tampered(self) -> bool:
@@ -85,7 +91,7 @@ def tamper(package: AppPackage, adversary: int, rng: random.Random,
     to one tampered payload. Re-tampering an already tampered package is
     allowed; the fingerprint still has to change.
     """
-    original = fingerprint(package.payload, width_bits)
+    original = package.fingerprint(width_bits)
     payload = package.payload
     while True:
         if payload:
@@ -94,9 +100,10 @@ def tamper(package: AppPackage, adversary: int, rng: random.Random,
             mutated = bytes(payload[:pos]) + bytes([payload[pos] ^ delta]) + bytes(payload[pos + 1:])
         else:
             mutated = rng.randbytes(1)
-        if fingerprint(mutated, width_bits) != original:
-            return AppPackage(app_id=package.app_id, payload=mutated,
-                              origin=ORIGIN_TAMPERED, adversary=adversary)
+        variant = AppPackage(app_id=package.app_id, payload=mutated,
+                             origin=ORIGIN_TAMPERED, adversary=adversary)
+        if variant.fingerprint(width_bits) != original:
+            return variant
         payload = mutated  # collision is astronomically unlikely; mutate again
 
 
@@ -122,4 +129,7 @@ class InstallState:
                 yield node, self._installed[node][app_id]
 
     def infected_entries(self) -> list[tuple[int, AppId]]:
-        return [(n, p.app_id) for n, p in self.entries() if p.is_tampered]
+        """Tampered installs in ``entries`` order; only these are sorted."""
+        infected = [(n, p.app_id) for n, apps in self._installed.items()
+                    for p in apps.values() if p.is_tampered]
+        return sorted(infected, key=lambda e: (e[0], e[1].label()))

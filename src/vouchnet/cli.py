@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -18,11 +19,12 @@ from .sweep import sweep
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = Scenario.from_file(args.scenario)
+    out = Path(args.out) if args.out else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)  # a bad path fails before the run
     log, report = run(scenario, seed=args.seed)
     totals = report.totals()
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         report.write(out)
         with open(out / "events.jsonl", "w", encoding="utf-8") as fh:
             for record in log.records:
@@ -38,18 +40,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = json.load(fh)
     if not isinstance(grid, dict):
         raise VouchnetError("grid file must be a JSON object of parameter lists")
-    rows = sweep(scenario, grid, seeds_per_point=args.reps)
-    if not rows:
-        return 0
-    fields = list(rows[0].keys())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            writer.writerows(rows)
-    writer = csv.DictWriter(sys.stdout, fieldnames=fields)
-    writer.writeheader()
-    writer.writerows(rows)
+    # The output file is opened first, so a bad path fails before any run.
+    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+          else contextlib.nullcontext()) as out:
+        rows = sweep(scenario, grid, seeds_per_point=args.reps)
+        if not rows:
+            return 0
+        for fh in (out, sys.stdout):
+            if fh is not None:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
     return 0
 
 

@@ -168,54 +168,63 @@ def propose_and_approve(graph: CommunityGraph, params: FormationParams,
     A proposer ranks every unlinked node with positive utility by
     (-utility, id) and offers links to the top ``proposals_per_round``.
     The ranking is computed without scoring every node: a peer missing
-    from the proposer's ledger reads as 0.5 trust, so all such strangers
-    of one type share one utility, and only the lowest eligible ids of a
-    type can make the cut. Known peers are scored one by one; each type is
-    scored once and contributes its first ``proposals_per_round`` eligible
-    ids. That is O(known peers + types x proposals) per proposer, plus the
+    from the proposer's ledger reads as 0.5 trust, so its utility depends
+    only on the two types, and only the lowest eligible ids of a type can
+    make the cut. Those utilities are scored once per round for each pair
+    of types, and membership does not change within a round, so the ids
+    are bucketed by type once. Known peers are scored one by one; each
+    type contributes its first ``proposals_per_round`` eligible ids. That
+    is O(known peers + types x proposals) per proposer, plus the
     neighbours skipped on the way, and gives exactly the all-pairs list,
-    ties included. Membership does not change within a round, so the ids
-    are bucketed by type once.
+    ties included. A proposer already at its cap is skipped unscored: it
+    can form nothing, and only a formed link draws from ``rng``.
     """
+    nodes, stores = graph.nodes, graph.keystores
     order = graph.node_ids()
     by_type: dict[str, list[int]] = {}
     for nid in order:
-        by_type.setdefault(graph.nodes[nid].node_type, []).append(nid)
+        by_type.setdefault(nodes[nid].node_type, []).append(nid)
+    # Per proposer type: (-utility, ids) of each stranger type worth an offer.
+    stranger_offers: dict[str, list[tuple[float, list[int]]]] = {}
+    for own, own_ids in by_type.items():
+        offers = stranger_offers[own] = []
+        for ids in by_type.values():
+            # Scored without a ledger: the 0.5 every stranger of this type reads as.
+            util = marginal_utility(nodes[own_ids[0]], nodes[ids[0]], params)
+            if util > 0.0:
+                offers.append((-util, ids))
     rng.shuffle(order)
     cut = params.proposals_per_round
     formed: list[tuple[int, int]] = []
     for proposer_id in order:
-        proposer = graph.nodes[proposer_id]
+        proposer = nodes[proposer_id]
+        store = stores[proposer_id]
+        if len(store) >= proposer.max_degree:
+            continue
         ledger = ledgers.get(proposer_id)
-        known = set(ledger.known_peers()) if ledger is not None else set()
-        candidates = []
+        known = ledger.records() if ledger is not None else {}
+        candidates: list[tuple[float, int]] = []
         for peer in known:
-            if (peer == proposer_id or peer not in graph.nodes
-                    or graph.has_edge(proposer_id, peer)):
+            if peer == proposer_id or peer in store or peer not in nodes:
                 continue  # a caller's ledgers may still name departed peers
-            util = marginal_utility(proposer, graph.nodes[peer], params, ledger)
+            util = marginal_utility(proposer, nodes[peer], params, ledger)
             if util > 0.0:
-                candidates.append((util, peer))
-        for ids in by_type.values():
-            # Scored without a ledger: the 0.5 every stranger of this type reads as.
-            util = marginal_utility(proposer, graph.nodes[ids[0]], params)
-            if util <= 0.0:
-                continue
+                candidates.append((-util, peer))
+        for neg_util, ids in stranger_offers[proposer.node_type]:
             taken = 0
             for other_id in ids:
                 if taken == cut:
                     break
-                if (other_id == proposer_id or other_id in known
-                        or graph.has_edge(proposer_id, other_id)):
+                if other_id == proposer_id or other_id in known or other_id in store:
                     continue
-                candidates.append((util, other_id))
+                candidates.append((neg_util, other_id))
                 taken += 1
-        candidates.sort(key=lambda c: (-c[0], c[1]))
+        candidates.sort()
         for _, target_id in candidates[:cut]:
-            if graph.degree(proposer_id) >= proposer.max_degree:
+            if len(store) >= proposer.max_degree:
                 break
-            target = graph.nodes[target_id]
-            if graph.degree(target_id) >= target.max_degree:
+            target = nodes[target_id]
+            if len(stores[target_id]) >= target.max_degree:
                 continue
             back = marginal_utility(target, proposer, params, ledgers.get(target_id))
             if back > 0.0:

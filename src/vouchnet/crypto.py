@@ -84,6 +84,12 @@ def fingerprint(payload: bytes, width_bits: int = DEFAULT_WIDTH_BITS) -> Digest:
     return Digest(bits=h(payload).digest(), width_bits=width_bits)
 
 
+def new_hash(width_bits: int = DEFAULT_WIDTH_BITS):
+    """An empty SHA-3 object at ``width_bits``, for hashing a stream in
+    pieces: its digest equals ``fingerprint`` over the concatenation."""
+    return _hash_for(width_bits)()
+
+
 def _hmac_tag(key: MacKey, message: bytes, width_bits: int) -> bytes:
     """HMAC-SHA3 of ``message`` under ``key``, byte for byte as RFC 2104.
 

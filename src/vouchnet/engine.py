@@ -378,8 +378,9 @@ class Simulation:
             self.ledgers.pop(node, None)
             self.rounds.pop(node, None)
             self.log.append(EV_LEAVE, {"node": node})
+        left = set(summary.left)
         for ledger in self.ledgers.values():
-            ledger.drop_peers(summary.left)
+            ledger.drop_peers(left)
         for node in summary.joined:
             self.ledgers[node] = Ledger(node)
             self.log.append(EV_JOIN, {"node": node, "type": self.graph.nodes[node].node_type})
@@ -423,8 +424,7 @@ class Simulation:
         if sc.record_trust:
             for owner in self.graph.node_ids():
                 ledger = self.ledgers[owner]
-                for peer in ledger.known_peers():
-                    rec = ledger.get_record(peer)
+                for peer, rec in sorted(ledger.records().items()):
                     self.trust_samples.append(metrics_mod.TrustSample(
                         epoch=epoch, owner=owner, peer=peer,
                         resp_prob=rec.resp_prob, cond_trust=rec.cond_trust,

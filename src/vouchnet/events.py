@@ -7,11 +7,12 @@ logs agree bit for bit.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
-from .crypto import DEFAULT_WIDTH_BITS, Digest, fingerprint
+from .crypto import DEFAULT_WIDTH_BITS, Digest, new_hash
 from .messages import REASON_QUORUM
-from .wire import encode_fields
+from .wire import HEADER, INT, TAG_INT, TAG_STR, encode_fields
 
 # Event kinds. The six protocol-message kinds each advance the tick and
 # belong to one retrieval; the other kinds are bookkeeping and never tick.
@@ -34,6 +35,11 @@ EV_DECISION = "decision"
 EV_INSTALL = "install"
 EV_STORE_FETCH = "store_fetch"
 
+EVENT_KINDS = (EV_EPOCH, EV_JOIN, EV_LEAVE, EV_SEVER, EV_LINK, EV_STORE_REFRESH,
+               EV_CALL_OUT, EV_REPLY, EV_OLD_FILTERED, EV_VOTE, EV_NOTICE, EV_SOURCE,
+               EV_DELIVERY, EV_VERIFY_REQ, EV_VERIFY_REPLY, EV_DECISION, EV_INSTALL,
+               EV_STORE_FETCH)
+
 MESSAGE_KINDS = frozenset({EV_CALL_OUT, EV_REPLY, EV_NOTICE, EV_DELIVERY,
                            EV_VERIFY_REQ, EV_VERIFY_REPLY})
 
@@ -42,6 +48,14 @@ MESSAGE_KINDS = frozenset({EV_CALL_OUT, EV_REPLY, EV_NOTICE, EV_DELIVERY,
 # carries (its ``macs`` field). A call-out, a notice and every bookkeeping
 # event cost nothing.
 _UNIT_KINDS = frozenset({EV_REPLY, EV_VERIFY_REQ, EV_VERIFY_REPLY})
+
+# A record's wire form is encode_fields(tick, kind, retrieval or -1, bits,
+# "key=value" for each key in sorted order). The kind's field is encoded
+# once per kind, and the three int fields are packed with their headers.
+_KIND_FIELDS = {kind: encode_fields(kind) for kind in EVENT_KINDS}
+_INT_HEAD = HEADER.pack(TAG_INT, INT.size)
+_INT_FIELD = struct.Struct(f">{HEADER.size}sq")
+_TWO_INT_FIELDS = struct.Struct(f">{HEADER.size}sq{HEADER.size}sq")
 
 
 @dataclass(frozen=True)
@@ -53,14 +67,16 @@ class EventRecord:
     retrieval: int | None = None
 
     def wire(self) -> bytes:
-        fields: list[bytes | int | str] = [
-            self.tick, self.kind,
-            self.retrieval if self.retrieval is not None else -1,
-            self.bits,
-        ]
-        for key in sorted(self.data):
-            fields.append(f"{key}={self.data[key]}")
-        return encode_fields(*fields)
+        """The record's canonical bytes: the unit of the log digest."""
+        data = self.data
+        parts = [_INT_FIELD.pack(_INT_HEAD, self.tick), _KIND_FIELDS[self.kind],
+                 _TWO_INT_FIELDS.pack(_INT_HEAD, -1 if self.retrieval is None else self.retrieval,
+                                      _INT_HEAD, self.bits)]
+        for key in sorted(data):
+            raw = f"{key}={data[key]}".encode("utf-8")
+            parts.append(HEADER.pack(TAG_STR, len(raw)))
+            parts.append(raw)
+        return b"".join(parts)
 
     def to_json_dict(self) -> dict:
         out: dict = {"tick": self.tick, "kind": self.kind, "bits": self.bits}
@@ -71,12 +87,18 @@ class EventRecord:
 
 
 class EventLog:
-    """Append-only, tick-ordered record of everything a run did."""
+    """Append-only, tick-ordered record of everything a run did.
+
+    Each record is encoded once, when it is appended, into a running hash
+    at the log's width, so the digest costs no second pass over the log.
+    Records therefore enter only through ``append``.
+    """
 
     def __init__(self, width_bits: int = DEFAULT_WIDTH_BITS) -> None:
         self.width_bits = width_bits
         self.records: list[EventRecord] = []
         self._tick = 0
+        self._hash = new_hash(width_bits)
 
     def append(self, kind: str, data: dict, trace: RetrievalTrace | None = None) -> EventRecord:
         """Record one event: tick it if it is a protocol message, price it
@@ -93,6 +115,7 @@ class EventLog:
                              bits=units * self.width_bits,
                              retrieval=trace.retrieval if trace is not None else None)
         self.records.append(record)
+        self._hash.update(record.wire())
         if trace is not None:
             trace.events.append(record)
         return record
@@ -104,7 +127,8 @@ class EventLog:
         return b"".join(r.wire() for r in self.records)
 
     def digest(self) -> Digest:
-        return fingerprint(self.canonical_bytes(), self.width_bits)
+        """``fingerprint(self.canonical_bytes(), self.width_bits)``, from the running hash."""
+        return Digest(bits=self._hash.copy().digest(), width_bits=self.width_bits)
 
     def __len__(self) -> int:
         return len(self.records)

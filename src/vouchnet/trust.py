@@ -11,7 +11,7 @@ events do not partition anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from .errors import VouchnetError
 
@@ -42,6 +42,10 @@ class Ledger:
     def known_peers(self) -> list[int]:
         return sorted(self._records)
 
+    def records(self) -> Mapping[int, TrustRecord]:
+        """Every record by peer, in no set order: the ledger's own mapping, not a copy."""
+        return self._records
+
     def _touch(self, peer: int) -> TrustRecord:
         rec = self._records.get(peer)
         if rec is None:
@@ -49,9 +53,10 @@ class Ledger:
             self._records[peer] = rec
         return rec
 
-    def drop_peers(self, peers: Iterable[int]) -> None:
-        for peer in peers:
-            self._records.pop(peer, None)
+    def drop_peers(self, peers: AbstractSet[int]) -> None:
+        """Forget ``peers``; only those this ledger knows are touched."""
+        for peer in self._records.keys() & peers:
+            del self._records[peer]
 
 
 def update_response(ledger: Ledger, peer: int, responded: bool) -> TrustRecord:

@@ -7,26 +7,29 @@ which makes the encoding safe to feed into MACs and log digests.
 
 import struct
 
-_TAG_BYTES = b"b"
-_TAG_INT = b"i"
-_TAG_STR = b"s"
+TAG_BYTES = b"b"
+TAG_INT = b"i"
+TAG_STR = b"s"
+
+# Every field starts with its tag and its length; an int is 8 bytes.
+HEADER = struct.Struct(">cI")
+INT = struct.Struct(">q")
 
 
 def encode_fields(*fields: bytes | int | str) -> bytes:
     out = bytearray()
     for field in fields:
         if isinstance(field, int):
-            raw = struct.pack(">q", field)
-            tag = _TAG_INT
+            raw = INT.pack(field)
+            tag = TAG_INT
         elif isinstance(field, bytes):
             raw = field
-            tag = _TAG_BYTES
+            tag = TAG_BYTES
         elif isinstance(field, str):
             raw = field.encode("utf-8")
-            tag = _TAG_STR
+            tag = TAG_STR
         else:
             raise TypeError(f"unsupported wire field type: {type(field)!r}")
-        out += tag
-        out += struct.pack(">I", len(raw))
+        out += HEADER.pack(tag, len(raw))
         out += raw
     return bytes(out)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from vouchnet.apps import AppCatalog, AppId, InstallState, tamper
+from vouchnet import crypto
+from vouchnet.apps import AppCatalog, AppId, AppPackage, InstallState, tamper
 from vouchnet.errors import DuplicateAppError
 
 
@@ -89,3 +90,29 @@ def test_install_replaces_previous_copy():
     assert state.get(7, clean.app_id) is clean
     assert state.infected_entries() == []
 
+
+
+def test_package_hashes_its_payload_once_per_width(monkeypatch):
+    built = []
+    for width, make in list(crypto._HASHES.items()):
+        def counted(*args, _make=make, _width=width):
+            built.append(_width)
+            return _make(*args)
+        monkeypatch.setitem(crypto._HASHES, width, counted)
+
+    package = AppPackage(app_id=AppId("lamp", "1"), payload=b"firmware")
+    first = package.fingerprint(224)
+    assert built == [224]
+    for _ in range(10):
+        assert package.fingerprint(224) == first
+        assert package.fingerprint() == first
+    assert built == [224]
+    wide = package.fingerprint(256)
+    assert built == [224, 256]
+    assert package.fingerprint(256) == wide == crypto.fingerprint(b"firmware", 256)
+    assert first == crypto.fingerprint(b"firmware", 224)
+
+    fresh = AppPackage(app_id=AppId("lamp", "1"), payload=b"firmware")
+    assert package == fresh
+    assert hash(package) == hash(fresh)
+    assert repr(package) == repr(fresh)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from vouchnet import cli
 from vouchnet.cli import main
 from vouchnet.scenario import AppSpec, Scenario, WorkloadSpec
 
@@ -172,3 +173,38 @@ def test_run_reports_out_path_that_is_a_file(tmp_path, scenario_file, capsys):
 def test_run_reports_scenario_path_that_is_a_directory(tmp_path, capsys):
     assert main(["run", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_refuses_bad_out_path_before_simulating(tmp_path, scenario_file, capsys,
+                                                    monkeypatch):
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", recorder)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", str(scenario_file), "--out", str(taken / "artifacts")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_sweep_refuses_bad_out_path_before_sweeping(tmp_path, scenario_file, capsys,
+                                                    monkeypatch):
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(args)
+        return real_sweep(*args, **kwargs)
+
+    real_sweep = cli.sweep
+    monkeypatch.setattr(cli, "sweep", recorder)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"protocol.quorum": [0.5]}))
+    assert main(["sweep", str(scenario_file), "--grid", str(grid),
+                 "--out", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert calls == []

@@ -285,6 +285,29 @@ def test_bucketed_formation_matches_all_pairs_scan(trust_weight, proposals):
     assert capped > 0
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_capped_proposers_and_hubs_match_all_pairs_scan(seed):
+    # Hubs carry raised caps, many proposers start a round at their cap,
+    # and ledgers still name departed peers; rounds alternate with hub
+    # designation, as in an epoch.
+    proposals = 1 + seed % 4
+    g_ref, ledgers_ref, params = random_world(100 + seed, 1.0, proposals)
+    g_new, ledgers_new, _ = random_world(100 + seed, 1.0, proposals)
+    assert any(peer not in g_new.nodes
+               for ledger in ledgers_new.values() for peer in ledger.known_peers())
+    rng_ref, rng_new = random.Random(seed), random.Random(seed)
+    at_cap = hubs = 0
+    for _ in range(4):
+        assert designate_supernodes(g_new, 3) == designate_supernodes(g_ref, 3)
+        hubs += sum(g_new.nodes[i].is_hub for i in g_new.node_ids())
+        at_cap += sum(g_new.degree(i) >= g_new.nodes[i].max_degree for i in g_new.node_ids())
+        expected = all_pairs_propose_and_approve(g_ref, params, ledgers_ref, rng_ref)
+        assert propose_and_approve(g_new, params, ledgers_new, rng_new) == expected
+        assert g_new.edges() == g_ref.edges()
+        assert rng_new.getstate() == rng_ref.getstate()
+    assert at_cap > 0 and hubs > 0
+
+
 # -- churn ---------------------------------------------------------------
 
 

@@ -240,6 +240,21 @@ def test_minority_infection_never_spreads():
     assert report.totals()["tampered_accepted"] == 0
 
 
+def test_epoch_infections_count_every_tampered_install():
+    sc = rich_scenario()
+    sc.epochs = 6
+    sc.apps[0].tampered_holders = {"fraction": 0.3}
+    sc.apps[1].tampered_holders = {"fraction": 0.3}
+    sim = Simulation(sc)
+    counts = []
+    for epoch in range(sc.epochs):
+        sim._run_epoch(epoch)
+        direct = sum(1 for _, package in sim.installs.entries() if package.is_tampered)
+        assert sim.epoch_rows[-1].infections == direct
+        counts.append(direct)
+    assert max(counts) > 0 and len(set(counts)) > 1, counts
+
+
 def test_compromised_majority_accuses_the_honest_holder():
     # Three of five nodes serve one tampered copy; honest node 1 asks.
     sc = base_scenario(seed=1, node_count=5)

@@ -7,6 +7,7 @@ import pytest
 
 from test_retrieval_outcomes import simulate
 from vouchnet.community import CommunityGraph, NodeProfile
+from vouchnet.crypto import fingerprint
 from vouchnet.events import (
     EV_CALL_OUT,
     EV_DELIVERY,
@@ -17,10 +18,12 @@ from vouchnet.events import (
     EV_VERIFY_REPLY,
     EV_VERIFY_REQ,
     EV_VOTE,
+    EVENT_KINDS,
     MESSAGE_KINDS,
     EventLog,
     RetrievalTrace,
 )
+from vouchnet.wire import encode_fields
 
 UNIT_KINDS = {EV_REPLY, EV_VERIFY_REQ, EV_VERIFY_REPLY}
 
@@ -65,6 +68,33 @@ def test_append_stores_strings_and_files_under_the_trace():
     assert trace.events == [record]
     assert loose.retrieval is None
     assert log.records == [record, loose]
+
+
+def reference_bytes(records) -> bytes:
+    """The log's wire form spelled out: one encode_fields call per record."""
+    out = b""
+    for r in records:
+        fields = [r.tick, r.kind, -1 if r.retrieval is None else r.retrieval, r.bits]
+        fields += [f"{key}={r.data[key]}" for key in sorted(r.data)]
+        out += encode_fields(*fields)
+    return out
+
+
+@pytest.mark.parametrize("width", [224, 256])
+def test_log_bytes_and_digest_match_encode_fields(width):
+    log = EventLog(width_bits=width)
+    trace = RetrievalTrace(retrieval=3, epoch=0, requester=1, app_label="m@1")
+    for i, kind in enumerate(EVENT_KINDS):
+        # Keys out of order, a negative int, a bool and multi-byte characters.
+        data = {"node": -7 - i, "unanimous": i % 2 == 0, "app": "caméra@2",
+                "macs": i % 3, "a": "ünï", "z": ""}
+        log.append(kind, data, trace=trace if i % 2 else None)
+        assert log.digest() == fingerprint(reference_bytes(log.records), width)
+    assert [r.kind for r in log.records] == list(EVENT_KINDS)
+    assert {r.retrieval for r in log.records} == {None, 3}
+    assert log.canonical_bytes() == reference_bytes(log.records)
+    assert log.digest() == fingerprint(log.canonical_bytes(), width)
+    assert log.digest().width_bits == width
 
 
 @pytest.mark.parametrize("name", ["hostile", "rich", "community_study"])
