@@ -37,11 +37,8 @@ from .errors import (
     DuplicateAppError,
     KeyMismatchError,
     KeyStrengthError,
-    NoMajorityError,
-    NoSourceError,
     NoVerifiersError,
     ScenarioError,
-    UndefinedHomophilyError,
     UnknownParameterError,
     VouchnetError,
 )

@@ -80,7 +80,7 @@ def assign_behaviors(graph: "CommunityGraph", spec: CompromiseSpec,
     problems = spec.problems()
     if problems:
         raise ConfigurationError("; ".join(problems))
-    ids = sorted(graph.node_ids())
+    ids = graph.node_ids()
     count = math.floor(spec.fraction * len(ids))
     if not count:
         return {}

@@ -8,12 +8,13 @@ accumulated trust adds value, and every link has a maintenance cost.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
 
 from .crypto import MacKey
-from .errors import ConfigurationError, UndefinedHomophilyError
+from .errors import ConfigurationError
 from .trust import Ledger, combined_trust
 
 DEFAULT_MAX_DEGREE = 8
@@ -275,15 +276,16 @@ def churn(graph: CommunityGraph, params: FormationParams, rng: random.Random,
     return ChurnSummary(joined=joined, left=left, severed=severed)
 
 
-def homophily_index(graph: CommunityGraph) -> float:
+def homophily_index(graph: CommunityGraph) -> float | None:
     """Same-type edge fraction minus its expectation under random mixing.
 
     Positive values mean devices cluster with their own kind more than
-    chance would produce. Undefined without edges.
+    chance would produce. Returns None without edges, where the index is
+    undefined.
     """
     edges = graph.edges()
     if not edges:
-        raise UndefinedHomophilyError("mixing index needs at least one edge")
+        return None
     same = sum(1 for a, b in edges
                if graph.nodes[a].node_type == graph.nodes[b].node_type)
     observed = same / len(edges)
@@ -305,11 +307,9 @@ def designate_supernodes(graph: CommunityGraph, count: int,
     """
     if count < 0:
         raise ConfigurationError("supernode count cannot be negative")
-    ranked = sorted(graph.node_ids(), key=lambda n: (-graph.degree(n), n))
-    chosen = ranked[:count]
+    chosen = heapq.nsmallest(count, graph.nodes, key=lambda n: (-graph.degree(n), n))
     chosen_set = set(chosen)
-    for nid in graph.node_ids():
-        profile = graph.nodes[nid]
+    for nid, profile in graph.nodes.items():
         if nid in chosen_set:
             profile.is_hub = True
             profile.max_degree = profile.base_max_degree * multiplier

@@ -21,12 +21,6 @@ from .community import (
     homophily_index,
     propose_and_approve,
 )
-from .errors import (
-    NoMajorityError,
-    NoSourceError,
-    NoVerifiersError,
-    UndefinedHomophilyError,
-)
 from .events import (
     EV_CALL_OUT,
     EV_DECISION,
@@ -259,11 +253,10 @@ class Simulation:
                 self.log.append(EV_OLD_FILTERED, {"responder": reply.responder,
                                                   "key_bits": reply.key_length_bits}, trace=trace)
 
-        try:
-            outcome = majority_vote(kept)
-        except NoSourceError:
+        if not kept:
             return REASON_NO_REPLIES, None
-        except NoMajorityError:
+        outcome = majority_vote(kept)
+        if outcome is None:
             return REASON_VOTE_TIE, None
 
         self.log.append(EV_VOTE, {"app": trace.app_label,
@@ -291,12 +284,11 @@ class Simulation:
 
         package = self.installs.get(source, app_id)
         assert package is not None, "vote supporters always hold the app"
-        try:
-            auth = build_auth_package(source, package, self.graph,
-                                      fanout=sc.protocol.mac_fanout, rng=rng,
-                                      width_bits=self.width,
-                                      min_key_bits=sc.protocol.min_key_bits)
-        except NoVerifiersError:
+        auth = build_auth_package(source, package, self.graph,
+                                  fanout=sc.protocol.mac_fanout, rng=rng,
+                                  width_bits=self.width,
+                                  min_key_bits=sc.protocol.min_key_bits)
+        if auth is None:
             decision = AcceptanceDecision(False, REASON_NO_VERIFIERS, 0, 0)
             return self._decided(trace, decision), None
 
@@ -416,10 +408,7 @@ class Simulation:
         row.nodes = len(self.graph)
         row.edges = self.graph.edge_count()
         row.infections = len(self.installs.infected_entries())
-        try:
-            row.homophily = homophily_index(self.graph)
-        except UndefinedHomophilyError:
-            row.homophily = None
+        row.homophily = homophily_index(self.graph)
 
         if sc.record_trust:
             for owner in self.graph.node_ids():

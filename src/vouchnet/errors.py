@@ -1,4 +1,7 @@
-"""Exception types raised by the protocol library and simulator."""
+"""Faults raised by the protocol library and simulator.
+
+A protocol step that comes up empty returns None instead of raising.
+"""
 
 
 class VouchnetError(Exception):
@@ -25,20 +28,12 @@ class DuplicateAppError(VouchnetError):
     """A clean package with the same app id was already published."""
 
 
-class NoSourceError(VouchnetError):
-    """No usable fingerprint replies were available for a vote."""
-
-
-class NoMajorityError(VouchnetError):
-    """The largest fingerprint classes are tied; no majority exists."""
-
-
 class NoVerifiersError(VouchnetError):
-    """The sender has no usable neighbors to authenticate through."""
+    """An acceptance decision was asked for with nobody polled.
 
-
-class UndefinedHomophilyError(VouchnetError):
-    """The mixing index is undefined on a graph without edges."""
+    A caller fault: the simulator decides only after a verification round
+    over an authenticated delivery, which always names a verifier.
+    """
 
 
 class ScenarioError(VouchnetError):

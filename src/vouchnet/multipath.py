@@ -38,18 +38,18 @@ def build_auth_package(sender: int, package: AppPackage, graph: CommunityGraph,
                        fanout: int = DEFAULT_MAC_FANOUT,
                        rng: random.Random | None = None,
                        width_bits: int = DEFAULT_WIDTH_BITS,
-                       min_key_bits: int = MIN_KEY_BITS) -> AuthPackage:
+                       min_key_bits: int = MIN_KEY_BITS) -> AuthPackage | None:
     """Wrap a package with MACs for min(fanout, usable neighbors) peers.
 
     Neighbors whose shared key is below the minimum length cannot vouch for
-    anything and are skipped. No usable neighbor at all means the delivery
-    cannot be authenticated.
+    anything and are skipped. Returns None when no neighbor is usable: the
+    delivery cannot be authenticated.
     """
     store = graph.keystores[sender]
     usable = [n for n in graph.neighbors(sender)
               if store[n].length_bits >= min_key_bits]
     if not usable:
-        raise NoVerifiersError(f"sender {sender} has no usable neighbors to MAC through")
+        return None
     m = min(fanout, len(usable))
     chosen = sorted(rng.sample(usable, m)) if rng is not None else usable[:m]
     claimed = package.fingerprint(width_bits)
@@ -115,7 +115,8 @@ def decide(replies: Sequence[VerifyReply], total_polled: int,
     """Accept only on a strict quorum of positive verdicts.
 
     Silence counts against acceptance: the denominator is everyone polled,
-    not everyone who answered.
+    not everyone who answered. Nobody polled is a caller fault and raises
+    ``NoVerifiersError``.
     """
     if total_polled < 1:
         raise NoVerifiersError("cannot decide with nobody polled")

@@ -16,7 +16,6 @@ from typing import Callable, Iterable, Sequence
 from .apps import AppId, InstallState
 from .community import CommunityGraph
 from .crypto import MIN_KEY_BITS, DEFAULT_WIDTH_BITS
-from .errors import NoMajorityError, NoSourceError
 from .messages import FingerprintReply, SuspicionNotice, VoteOutcome
 
 Interceptor = Callable[[int, object], object]
@@ -57,21 +56,17 @@ def filter_old_devices(replies: Iterable[FingerprintReply],
     return [r for r in replies if r.key_length_bits >= min_key_bits]
 
 
-def majority_vote(replies: Sequence[FingerprintReply]) -> VoteOutcome:
-    """Group replies by digest; the largest class wins.
+def majority_vote(replies: Sequence[FingerprintReply]) -> VoteOutcome | None:
+    """Group replies by digest; the strictly largest class wins.
 
-    A tie between the largest classes raises: with no majority the device
-    has to fall back to the store instead of guessing.
+    Returns None when no class is strictly largest, on an even split or
+    with no replies at all: with no majority the device falls back to the
+    store instead of guessing.
     """
-    if not replies:
-        raise NoSourceError("no fingerprint replies to vote over")
+    ranked = Counter(r.digest for r in replies).most_common()
+    if not ranked or (len(ranked) > 1 and ranked[0][1] == ranked[1][1]):
+        return None
     app_id = replies[0].app_id
-    tally = Counter(r.digest for r in replies)
-    ranked = tally.most_common()
-    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
-        ways = sum(1 for _, c in ranked if c == ranked[0][1])
-        raise NoMajorityError(
-            f"{ways}-way tie between fingerprint classes for {app_id.label()}")
     majority_digest = ranked[0][0]
     supporters = tuple(sorted(r.responder for r in replies if r.digest == majority_digest))
     dissent = {r.responder: r.digest for r in replies if r.digest != majority_digest}

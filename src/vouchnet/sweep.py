@@ -13,25 +13,25 @@ from .scenario import Scenario, apply_overrides
 def sweep(base: Scenario, grid: dict[str, list], seeds_per_point: int = 1) -> list[dict]:
     """Run every point of the cross product and aggregate its runs.
 
-    Grid keys are dotted scenario paths; unknown paths are rejected up
-    front. Each point runs ``seeds_per_point`` times under seeds derived
-    from the base seed, the point, and the repetition index. An empty grid
-    degenerates to one row for the base scenario. Rates are aggregated
-    over all retrievals of a point, not averaged per run.
+    Grid keys are dotted scenario paths. Every point's scenario is built
+    before the first run, so an unknown path or an invalid value is
+    rejected before anything runs. Each point runs ``seeds_per_point``
+    times under seeds derived from the base seed, the point, and the
+    repetition index. An empty grid degenerates to one row for the base
+    scenario. Rates are aggregated over all retrievals of a point, not
+    averaged per run.
     """
     if seeds_per_point < 1:
         raise UnknownParameterError("seeds_per_point must be at least 1")
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise UnknownParameterError(f"grid entry {key!r} must be a non-empty list")
-        apply_overrides(base, {key: values[0]})  # fail fast on bad paths
 
     keys = sorted(grid)
-    combos = list(itertools.product(*(grid[k] for k in keys))) if keys else [()]
+    points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    scenarios = [apply_overrides(base, point) if point else base for point in points]
     rows: list[dict] = []
-    for point_index, combo in enumerate(combos):
-        point = dict(zip(keys, combo))
-        scenario = apply_overrides(base, point) if point else base
+    for point_index, (point, scenario) in enumerate(zip(points, scenarios)):
         retrievals = accepted = tampered = 0
         infections = 0.0
         bits = 0

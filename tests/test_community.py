@@ -14,7 +14,7 @@ from vouchnet.community import (
     marginal_utility,
     propose_and_approve,
 )
-from vouchnet.errors import ConfigurationError, UndefinedHomophilyError
+from vouchnet.errors import ConfigurationError
 from vouchnet.trust import Ledger
 
 
@@ -360,8 +360,7 @@ def test_default_trust_is_above_severance_threshold():
 
 def test_homophily_undefined_without_edges():
     g = build_graph(4)
-    with pytest.raises(UndefinedHomophilyError):
-        homophily_index(g)
+    assert homophily_index(g) is None
 
 
 def test_homophily_zero_on_complete_balanced_graph():
@@ -403,6 +402,24 @@ def test_supernode_tie_goes_to_smaller_id():
     # Nodes 1 and 2 are tied at the top degree.
     chosen = designate_supernodes(g, 1)
     assert chosen == [1]
+
+
+def test_supernodes_match_a_full_sort_on_tied_degrees():
+    rng = random.Random(28)
+    for trial in range(40):
+        n = rng.randint(2, 30)
+        ids = rng.sample(range(100), n)  # sparse ids, inserted out of order
+        g = CommunityGraph()
+        for i in ids:
+            g.add_node(NodeProfile(id=i, node_type="sensor", max_degree=4))
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = rng.sample(ids, 2)
+            if not g.has_edge(a, b) and g.degree(a) < 4 and g.degree(b) < 4:
+                g.add_edge(a, b, rng)
+        count = rng.randint(0, n + 2)
+        expected = sorted(ids, key=lambda i: (-g.degree(i), i))[:count]
+        assert designate_supernodes(g, count) == expected, trial
+        assert {i for i, p in g.nodes.items() if p.is_hub} == set(expected)
 
 
 def test_supernode_cap_multiplied():

@@ -1,5 +1,7 @@
 """End-to-end behavior of the simulation engine."""
 
+import csv
+import json
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,12 @@ from vouchnet.events import (
     EV_VERIFY_REQ,
     EV_VOTE,
 )
-from vouchnet.messages import REASON_FINGERPRINT, REASON_NO_VERIFIERS, REASON_QUORUM
+from vouchnet.messages import (
+    REASON_FINGERPRINT,
+    REASON_NO_REPLIES,
+    REASON_NO_VERIFIERS,
+    REASON_QUORUM,
+)
 from vouchnet.metrics import EpochMetrics
 from vouchnet.rng import derive_rng
 from vouchnet.scenario import AppSpec, Scenario, WorkloadSpec
@@ -410,6 +417,22 @@ def test_report_carries_digest_and_assumptions():
     lines = report.jsonl_lines()
     assert lines[0].startswith('{"')
     assert any('"type": "epoch"' in ln for ln in lines)
+
+
+def test_epoch_without_edges_reports_no_homophily(tmp_path):
+    # No initial links, and every link would cost more than it brings.
+    sc = base_scenario(topology="none", epochs=2)
+    sc.formation.link_cost = 10.0
+    sim = Simulation(sc)
+    _, report = sim.run()
+    assert [t.reason for t in sim.traces] == [REASON_NO_REPLIES]
+    assert [row.edges for row in report.epochs] == [0, 0]
+    assert [row.homophily for row in report.epochs] == [None, None]
+    report.write(tmp_path)
+    with open(tmp_path / "epochs.csv", newline="", encoding="utf-8") as fh:
+        assert [row["homophily"] for row in csv.DictReader(fh)] == ["", ""]
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert "final_homophily" in summary and summary["final_homophily"] is None
 
 
 def test_direct_retrieval_requires_valid_scenario():

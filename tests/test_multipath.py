@@ -50,8 +50,7 @@ def test_isolated_sender_cannot_authenticate():
     g.add_node(NodeProfile(id=0, node_type="cam"))
     catalog = AppCatalog()
     clean = catalog.publish_clean(APP, b"payload")
-    with pytest.raises(NoVerifiersError):
-        build_auth_package(0, clean, g)
+    assert build_auth_package(0, clean, g) is None
 
 
 def test_weak_key_neighbors_are_skipped():

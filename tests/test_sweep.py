@@ -1,12 +1,13 @@
 """Parameter sweeps over the simulator."""
 
 import math
+import sys
 
 import pytest
 
 from vouchnet import sweep
 from vouchnet.engine import run
-from vouchnet.errors import UnknownParameterError
+from vouchnet.errors import ScenarioError, UnknownParameterError
 from vouchnet.rng import derive_seed
 from vouchnet.scenario import AppSpec, Scenario, WorkloadSpec
 
@@ -29,6 +30,23 @@ def test_grid_values_must_be_nonempty_lists():
         sweep(tiny_scenario(), {"protocol.quorum": []})
     with pytest.raises(UnknownParameterError):
         sweep(tiny_scenario(), {"protocol.quorum": 0.7})
+
+
+def test_bad_value_at_a_later_point_fails_before_any_run(monkeypatch):
+    # `vouchnet.sweep` is the function; its module holds the `run` it calls.
+    module = sys.modules["vouchnet.sweep"]
+    calls = []
+
+    def recording_run(scenario, seed=None):
+        calls.append(seed)
+        return run(scenario, seed=seed)
+
+    monkeypatch.setattr(module, "run", recording_run)
+    base = tiny_scenario()
+    base.compromise.mix = {"tampered_server": 1.0}
+    with pytest.raises(ScenarioError):
+        sweep(base, {"compromise.fraction": [0.1, 1.5]}, seeds_per_point=3)
+    assert calls == []
 
 
 def test_seeds_per_point_must_be_positive():
