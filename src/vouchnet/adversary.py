@@ -118,14 +118,12 @@ def intercept(behavior: Behavior, message: object, ctx: InterceptContext):
 
     if behavior is Behavior.LYING_VERIFIER:
         if isinstance(message, VerifyReply):
-            return VerifyReply(verifier=message.verifier, verdict=not message.verdict)
+            return message._replace(verdict=not message.verdict)
         return message
 
     if behavior is Behavior.TOCTTOU_SWAPPER:
         if isinstance(message, FingerprintReply):
-            clean = ctx.catalog.clean_digest(message.app_id)
-            return FingerprintReply(responder=message.responder, app_id=message.app_id,
-                                    digest=clean, key_length_bits=message.key_length_bits)
+            return message._replace(digest=ctx.catalog.clean_digest(message.app_id))
         if isinstance(message, AuthPackage):
             # Claim the clean digest and re-MAC it so the verifiers agree;
             # the payload is left corrupted. Only the digest recomputation
@@ -138,8 +136,7 @@ def intercept(behavior: Behavior, message: object, ctx: InterceptContext):
                         min_key_bits=ctx.min_key_bits))
                 for v, _ in message.macs
             )
-            return AuthPackage(sender=message.sender, app_id=message.app_id,
-                               payload=message.payload, claimed_digest=clean, macs=macs)
+            return message._replace(claimed_digest=clean, macs=macs)
         return message
 
     raise ConfigurationError(f"unhandled behavior {behavior!r}")

@@ -40,12 +40,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = json.load(fh)
     if not isinstance(grid, dict):
         raise VouchnetError("grid file must be a JSON object of parameter lists")
-    # The output file is opened first, so a bad path fails before any run.
-    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+    # The output file is opened first, so a bad path fails before any run,
+    # and emptied only once the sweep has rows, so a refused sweep leaves
+    # it as it was.
+    with (open(args.out, "a", encoding="utf-8", newline="") if args.out
           else contextlib.nullcontext()) as out:
         rows = sweep(scenario, grid, seeds_per_point=args.reps)
         if not rows:
             return 0
+        if out is not None:
+            out.truncate(0)
         for fh in (out, sys.stdout):
             if fh is not None:
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

@@ -283,12 +283,16 @@ def homophily_index(graph: CommunityGraph) -> float | None:
     chance would produce. Returns None without edges, where the index is
     undefined.
     """
-    edges = graph.edges()
+    nodes = graph.nodes
+    edges = same = 0
+    for a, store in graph.keystores.items():
+        for b in store:
+            if a < b:
+                edges += 1
+                same += nodes[a].node_type == nodes[b].node_type
     if not edges:
         return None
-    same = sum(1 for a, b in edges
-               if graph.nodes[a].node_type == graph.nodes[b].node_type)
-    observed = same / len(edges)
+    observed = same / edges
     counts: dict[str, int] = {}
     for profile in graph.nodes.values():
         counts[profile.node_type] = counts.get(profile.node_type, 0) + 1

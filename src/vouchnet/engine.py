@@ -112,9 +112,9 @@ class Simulation:
         for t in labels:
             type_list.extend([t] * counts[t])
 
-        old_rng = derive_rng(self.seed, "old_devices")
         old_count = math.floor(sc.old_devices.fraction * n)
-        old_ids = set(old_rng.sample(range(n), old_count)) if old_count else set()
+        old_ids = (set(derive_rng(self.seed, "old_devices").sample(range(n), old_count))
+                   if old_count else set())
 
         for i in range(n):
             profile = self.graph.add_node(NodeProfile(
@@ -227,7 +227,6 @@ class Simulation:
         retrieval ended and the package to install, or None if there is none."""
         sc = self.scenario
         requester = trace.requester
-        rng = derive_rng(self.seed, "retrieval", trace.retrieval)
 
         self.rounds[requester] = self.rounds.get(requester, 0) + 1
         polled, replies = broadcast_call_out(
@@ -279,6 +278,9 @@ class Simulation:
             if held is not None and not held.is_tampered:
                 trace.false_accusations += 1
 
+        # Derived only here: a retrieval that ends before the source is
+        # chosen never draws from its stream.
+        rng = derive_rng(self.seed, "retrieval", trace.retrieval)
         source = choose_source(outcome, rng)
         self.log.append(EV_SOURCE, {"source": source}, trace=trace)
 
@@ -298,10 +300,8 @@ class Simulation:
             delivered = tamper(AppPackage(app_id=app_id, payload=auth.payload,
                                           origin=package.origin, adversary=package.adversary),
                                adversary=source, rng=rng, width_bits=self.width)
-            auth = type(auth)(sender=auth.sender, app_id=auth.app_id,
-                              payload=delivered.payload,
-                              claimed_digest=delivered.fingerprint(self.width),
-                              macs=auth.macs)
+            auth = auth._replace(payload=delivered.payload,
+                                 claimed_digest=delivered.fingerprint(self.width))
         trace.payload_bytes = len(auth.payload)
         self.log.append(EV_DELIVERY, {"sender": auth.sender,
                                       "claimed": auth.claimed_digest.hex(),
@@ -370,9 +370,10 @@ class Simulation:
             self.ledgers.pop(node, None)
             self.rounds.pop(node, None)
             self.log.append(EV_LEAVE, {"node": node})
-        left = set(summary.left)
-        for ledger in self.ledgers.values():
-            ledger.drop_peers(left)
+        if summary.left:
+            left = set(summary.left)
+            for ledger in self.ledgers.values():
+                ledger.drop_peers(left)
         for node in summary.joined:
             self.ledgers[node] = Ledger(node)
             self.log.append(EV_JOIN, {"node": node, "type": self.graph.nodes[node].node_type})
@@ -382,11 +383,12 @@ class Simulation:
         row.leaves = len(summary.left)
         row.severed = len(summary.severed)
 
-        formed = propose_and_approve(self.graph, sc.formation, self.ledgers,
-                                     derive_rng(self.seed, "formation", epoch))
-        for a, b in formed:
-            self.log.append(EV_LINK, {"a": a, "b": b})
-        row.links_formed = len(formed)
+        if sc.formation.proposals_per_round:  # with no offers, nothing can form
+            formed = propose_and_approve(self.graph, sc.formation, self.ledgers,
+                                         derive_rng(self.seed, "formation", epoch))
+            for a, b in formed:
+                self.log.append(EV_LINK, {"a": a, "b": b})
+            row.links_formed = len(formed)
 
         if sc.formation.supernode_count > 0:
             designate_supernodes(self.graph, sc.formation.supernode_count)

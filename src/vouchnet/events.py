@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .crypto import DEFAULT_WIDTH_BITS, Digest, new_hash
 from .messages import REASON_QUORUM
@@ -50,33 +51,41 @@ MESSAGE_KINDS = frozenset({EV_CALL_OUT, EV_REPLY, EV_NOTICE, EV_DELIVERY,
 _UNIT_KINDS = frozenset({EV_REPLY, EV_VERIFY_REQ, EV_VERIFY_REPLY})
 
 # A record's wire form is encode_fields(tick, kind, retrieval or -1, bits,
-# "key=value" for each key in sorted order). The kind's field is encoded
-# once per kind, and the three int fields are packed with their headers.
-_KIND_FIELDS = {kind: encode_fields(kind) for kind in EVENT_KINDS}
+# "key=value" for each key in sorted order). Per kind, one struct packs the
+# four leading fields, with the kind's field encoded once.
 _INT_HEAD = HEADER.pack(TAG_INT, INT.size)
-_INT_FIELD = struct.Struct(f">{HEADER.size}sq")
-_TWO_INT_FIELDS = struct.Struct(f">{HEADER.size}sq{HEADER.size}sq")
+_HEADS = {kind: (struct.Struct(f">{HEADER.size}sq{len(kind_field)}s"
+                               f"{HEADER.size}sq{HEADER.size}sq"), kind_field)
+          for kind, kind_field in ((kind, encode_fields(kind)) for kind in EVENT_KINDS)}
 
 
-@dataclass(frozen=True)
-class EventRecord:
+def _encode(tick: int, kind: str, retrieval: int, bits: int,
+            data: dict) -> tuple[dict[str, str], bytes]:
+    """One pass over a record's sorted keys: its values as strings, and its
+    wire form. ``retrieval`` is -1 for a record outside any retrieval."""
+    head, kind_field = _HEADS[kind]
+    parts = [head.pack(_INT_HEAD, tick, kind_field, _INT_HEAD, retrieval, _INT_HEAD, bits)]
+    strings = {}
+    for key in sorted(data):
+        value = strings[key] = str(data[key])
+        raw = f"{key}={value}".encode("utf-8")
+        parts += (HEADER.pack(TAG_STR, len(raw)), raw)
+    return strings, b"".join(parts)
+
+
+class EventRecord(NamedTuple):
+    """One logged event; ``data`` maps each key to its value as a string."""
+
     tick: int
     kind: str
-    data: dict[str, str] = field(hash=False)
+    data: dict[str, str]
     bits: int = 0
     retrieval: int | None = None
 
     def wire(self) -> bytes:
         """The record's canonical bytes: the unit of the log digest."""
-        data = self.data
-        parts = [_INT_FIELD.pack(_INT_HEAD, self.tick), _KIND_FIELDS[self.kind],
-                 _TWO_INT_FIELDS.pack(_INT_HEAD, -1 if self.retrieval is None else self.retrieval,
-                                      _INT_HEAD, self.bits)]
-        for key in sorted(data):
-            raw = f"{key}={data[key]}".encode("utf-8")
-            parts.append(HEADER.pack(TAG_STR, len(raw)))
-            parts.append(raw)
-        return b"".join(parts)
+        retrieval = -1 if self.retrieval is None else self.retrieval
+        return _encode(self.tick, self.kind, retrieval, self.bits, self.data)[1]
 
     def to_json_dict(self) -> dict:
         out: dict = {"tick": self.tick, "kind": self.kind, "bits": self.bits}
@@ -110,12 +119,13 @@ class EventLog:
             units = int(data["macs"])
         else:
             units = 1 if kind in _UNIT_KINDS else 0
-        record = EventRecord(tick=self._tick, kind=kind,
-                             data={k: str(v) for k, v in data.items()},
-                             bits=units * self.width_bits,
-                             retrieval=trace.retrieval if trace is not None else None)
+        bits = units * self.width_bits
+        retrieval = None if trace is None else trace.retrieval
+        strings, wire = _encode(self._tick, kind, -1 if retrieval is None else retrieval,
+                                bits, data)
+        record = EventRecord(self._tick, kind, strings, bits, retrieval)
         self.records.append(record)
-        self._hash.update(record.wire())
+        self._hash.update(wire)
         if trace is not None:
             trace.events.append(record)
         return record

@@ -2,11 +2,16 @@
 
 MACs are always computed over ``mac_message`` output, never over an ad-hoc
 string, so sender and verifier agree on the exact bytes being authenticated.
+
+The messages a retrieval builds many of and reads few fields from are
+immutable named tuples: they compare as tuples, and ``_replace`` copies
+one with a field changed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .apps import AppId
 from .crypto import Digest, MacTag
@@ -27,26 +32,23 @@ def mac_message(app_id: AppId, digest: Digest) -> bytes:
     return encode_fields("mac", app_id.name, app_id.version, digest.bits)
 
 
-@dataclass(frozen=True)
-class FingerprintReply:
+class FingerprintReply(NamedTuple):
     responder: int
     app_id: AppId
     digest: Digest
     key_length_bits: int
 
 
-@dataclass(frozen=True)
-class VoteOutcome:
+class VoteOutcome(NamedTuple):
     app_id: AppId
     majority_digest: Digest
     supporters: tuple[int, ...]
     dissenters: tuple[int, ...]
-    dissent_digests: dict[int, Digest] = field(hash=False)
+    dissent_digests: dict[int, Digest]
     unanimous: bool
 
 
-@dataclass(frozen=True)
-class SuspicionNotice:
+class SuspicionNotice(NamedTuple):
     sender: int
     target: int
     app_id: AppId
@@ -54,8 +56,7 @@ class SuspicionNotice:
     majority_digest: Digest
 
 
-@dataclass(frozen=True)
-class AuthPackage:
+class AuthPackage(NamedTuple):
     """An app delivery: payload, the digest the sender claims, and one MAC
     per chosen neighbor binding the app id to that digest."""
 
@@ -69,8 +70,7 @@ class AuthPackage:
         return tuple(v for v, _ in self.macs)
 
 
-@dataclass(frozen=True)
-class VerifyReply:
+class VerifyReply(NamedTuple):
     verifier: int
     verdict: bool
 

@@ -101,10 +101,14 @@ def account_overhead(trace: RetrievalTrace) -> OverheadRecord:
     The sums are recomputed from logged messages rather than taken from
     counters, so the accounting cannot drift from the log.
     """
-    reply_bits = sum(e.bits for e in trace.events if e.kind == EV_REPLY)
-    mac_bits = sum(e.bits for e in trace.events if e.kind == EV_DELIVERY)
-    verify_bits = sum(e.bits for e in trace.events
-                      if e.kind in (EV_VERIFY_REQ, EV_VERIFY_REPLY))
+    reply_bits = mac_bits = verify_bits = 0
+    for e in trace.events:
+        if e.kind == EV_REPLY:
+            reply_bits += e.bits
+        elif e.kind == EV_DELIVERY:
+            mac_bits += e.bits
+        elif e.kind in (EV_VERIFY_REQ, EV_VERIFY_REPLY):
+            verify_bits += e.bits
     return OverheadRecord(
         retrieval=trace.retrieval, epoch=trace.epoch, requester=trace.requester,
         app=trace.app_label, responders=trace.responders,

@@ -102,7 +102,7 @@ def verify_round(requester: int, auth: AuthPackage, graph: CommunityGraph,
             verdict = verify_mac(key, bound, tag, min_key_bits=min_key_bits)
         except KeyMismatchError:
             verdict = False  # tag speaks for some other pairing; worthless here
-        reply = VerifyReply(verifier=verifier, verdict=verdict)
+        reply = VerifyReply(verifier, verdict)
         if interceptor is not None:
             reply = interceptor(verifier, reply)
         if reply is not None:

@@ -10,12 +10,11 @@ that their copies look corrupted.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from typing import Callable, Iterable, Sequence
 
 from .apps import AppId, InstallState
 from .community import CommunityGraph
-from .crypto import MIN_KEY_BITS, DEFAULT_WIDTH_BITS
+from .crypto import MIN_KEY_BITS, DEFAULT_WIDTH_BITS, Digest
 from .messages import FingerprintReply, SuspicionNotice, VoteOutcome
 
 Interceptor = Callable[[int, object], object]
@@ -40,9 +39,8 @@ def broadcast_call_out(requester: int, app_id: AppId,
         package = installs.get(node, app_id)
         if package is None:
             continue  # nothing to report; silence is not an offence here
-        reply = FingerprintReply(responder=node, app_id=app_id,
-                                 digest=package.fingerprint(width_bits),
-                                 key_length_bits=graph.nodes[node].key_length_bits)
+        reply = FingerprintReply(node, app_id, package.fingerprint(width_bits),
+                                 graph.nodes[node].key_length_bits)
         if interceptor is not None:
             reply = interceptor(node, reply)
         if reply is not None:
@@ -63,15 +61,16 @@ def majority_vote(replies: Sequence[FingerprintReply]) -> VoteOutcome | None:
     with no replies at all: with no majority the device falls back to the
     store instead of guessing.
     """
-    ranked = Counter(r.digest for r in replies).most_common()
-    if not ranked or (len(ranked) > 1 and ranked[0][1] == ranked[1][1]):
+    groups: dict[Digest, list[FingerprintReply]] = {}
+    for r in replies:
+        groups.setdefault(r.digest, []).append(r)
+    ranked = sorted(groups.values(), key=len, reverse=True)
+    if not ranked or (len(ranked) > 1 and len(ranked[0]) == len(ranked[1])):
         return None
-    app_id = replies[0].app_id
-    majority_digest = ranked[0][0]
-    supporters = tuple(sorted(r.responder for r in replies if r.digest == majority_digest))
-    dissent = {r.responder: r.digest for r in replies if r.digest != majority_digest}
-    return VoteOutcome(app_id=app_id, majority_digest=majority_digest,
-                       supporters=supporters,
+    majority = ranked[0]
+    dissent = {r.responder: r.digest for group in ranked[1:] for r in group}
+    return VoteOutcome(app_id=replies[0].app_id, majority_digest=majority[0].digest,
+                       supporters=tuple(sorted(r.responder for r in majority)),
                        dissenters=tuple(sorted(dissent)),
                        dissent_digests=dissent,
                        unanimous=not dissent)

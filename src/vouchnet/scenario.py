@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
@@ -224,7 +224,7 @@ class Scenario:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _plain(self)
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
@@ -285,6 +285,27 @@ def _accepts(hint) -> tuple[type, ...]:
     members = get_args(hint) if isinstance(hint, UnionType) else (hint,)
     accepted = tuple(get_origin(m) or m for m in members)
     return accepted + (int,) if float in accepted else accepted
+
+
+@cache
+def _field_names(cls) -> tuple[str, ...] | None:
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
+def _plain(value):
+    """``dataclasses.asdict`` for a scenario's values: sections become
+    dicts and containers are copied, while scalars, all immutable, are
+    shared rather than deep-copied."""
+    names = _field_names(type(value))
+    if names is not None:
+        return {name: _plain(getattr(value, name)) for name in names}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    if isinstance(value, tuple):
+        return tuple(_plain(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 @cache

@@ -208,3 +208,28 @@ def test_sweep_refuses_bad_out_path_before_sweeping(tmp_path, scenario_file, cap
                  "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("reps, grid", [
+    (0, {"protocol.quorum": [0.5]}),
+    (1, {"compromise.fraction": [0.1, 1.5]}),
+])
+def test_refused_sweep_leaves_existing_out_file(tmp_path, scenario_file, capsys, reps, grid):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    out_csv = tmp_path / "results.csv"
+    out_csv.write_text("earlier,results\n1,2\n3,4\n")
+    assert main(["sweep", str(scenario_file), "--grid", str(grid_path),
+                 "--reps", str(reps), "--out", str(out_csv)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert out_csv.read_text() == "earlier,results\n1,2\n3,4\n"
+
+
+def test_sweep_replaces_a_longer_out_file(tmp_path, scenario_file, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"protocol.quorum": [0.5]}))
+    out_csv = tmp_path / "results.csv"
+    out_csv.write_text("x" * 10_000 + "\n")
+    assert main(["sweep", str(scenario_file), "--grid", str(grid),
+                 "--out", str(out_csv)]) == 0
+    assert out_csv.read_text().splitlines() == capsys.readouterr().out.splitlines()

@@ -97,6 +97,36 @@ def test_log_bytes_and_digest_match_encode_fields(width):
     assert log.digest().width_bits == width
 
 
+@pytest.mark.parametrize("width", [224, 256])
+def test_long_log_encodes_every_record_like_encode_fields(width):
+    """A thousand records of every kind, with values of every type the
+    engine logs, keys in random order and records in and out of
+    retrievals: each record's bytes and the running digest follow the
+    encode_fields reference throughout."""
+    rng = random.Random(width)
+    log = EventLog(width_bits=width)
+    traces = [None, RetrievalTrace(retrieval=0, epoch=0, requester=1, app_label="m@1"),
+              RetrievalTrace(retrieval=2**40, epoch=3, requester=-2, app_label="ü@2")]
+    values = [-1, -2**62, 0, 7, True, False, "", "caméra@2", "日本語", "a=b", "x" * 300]
+    keys = ["node", "app", "zeta", "a", "ключ", "verdict", "digest"]
+    kinds = [kind for kind in EVENT_KINDS for _ in range(1000)]
+    rng.shuffle(kinds)
+    expected = bytearray()
+    for i, kind in enumerate(kinds, 1):
+        data = {key: rng.choice(values) for key in rng.sample(keys, rng.randrange(len(keys)))}
+        if kind == EV_DELIVERY:
+            data["macs"] = rng.randrange(6)
+        record = log.append(kind, data, trace=rng.choice(traces))
+        wire = reference_bytes([record])
+        assert record.wire() == wire
+        assert record.data == {key: str(value) for key, value in data.items()}
+        expected += wire
+        if i % 4999 == 0 or i == len(kinds):
+            assert log.digest() == fingerprint(bytes(expected), width)
+    assert len(log) >= 1000 * len(EVENT_KINDS)
+    assert log.canonical_bytes() == expected
+
+
 @pytest.mark.parametrize("name", ["hostile", "rich", "community_study"])
 def test_whole_run_bits_and_ticks_follow_the_kind(name):
     sim = simulate(name)

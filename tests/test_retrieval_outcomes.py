@@ -167,3 +167,44 @@ def test_counted_runs_reach_every_logged_counter():
     reached = {c for name in COUNTED_RUNS for counts in logged_counts(simulate(name)).values()
                for c in LOGGED_COUNTERS if counts[c]}
     assert reached == set(LOGGED_COUNTERS)
+
+
+def recorded_run(monkeypatch, name: str, attr: str) -> tuple[Simulation, list[tuple]]:
+    """A fresh run of ``name`` with every call to ``vouchnet.engine.<attr>``
+    recorded by its positional arguments."""
+    import vouchnet.engine as engine
+
+    calls = []
+    real = getattr(engine, attr)
+
+    def recorder(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, attr, recorder)
+    simulation = Simulation(COUNTED_RUNS[name]())
+    simulation.run()
+    monkeypatch.undo()
+    return simulation, calls
+
+
+def test_retrieval_stream_is_derived_only_past_the_vote(monkeypatch):
+    reached = set()
+    for name in ("rich", "hostile", "hostile_store_blocked"):
+        sim, calls = recorded_run(monkeypatch, name, "derive_rng")
+        derived = Counter(args[2] for args in calls if args[1:2] == ("retrieval",))
+        for trace in sim.traces:
+            expected = 0 if trace.reason in UNDECIDED else 1
+            assert derived[trace.retrieval] == expected, (name, trace.reason)
+        assert sum(derived.values()) == sum(t.reason not in UNDECIDED for t in sim.traces)
+        reached |= {t.reason for t in sim.traces}
+    assert reached == OUTCOMES
+
+
+def test_formation_runs_only_when_offers_can_be_made(monkeypatch):
+    sim, calls = recorded_run(monkeypatch, "tampered_campaign", "propose_and_approve")
+    assert sim.scenario.formation.proposals_per_round == 0
+    assert calls == []
+    sim, calls = recorded_run(monkeypatch, "community_study", "propose_and_approve")
+    assert sim.scenario.formation.proposals_per_round > 0
+    assert len(calls) == sim.scenario.epochs
