@@ -13,7 +13,7 @@ ORIGIN_STORE = "store"
 ORIGIN_TAMPERED = "tampered"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppId:
     name: str
     version: str
@@ -29,7 +29,7 @@ class AppId:
         return AppId(name=name, version=version)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppPackage:
     """An installable payload plus where it came from.
 

@@ -21,7 +21,7 @@ DEFAULT_MAX_DEGREE = 8
 SUPERNODE_DEGREE_MULTIPLIER = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeProfile:
     id: int
     node_type: str

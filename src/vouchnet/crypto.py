@@ -29,7 +29,7 @@ MIN_KEY_BITS = 128
 _HASHES = {224: hashlib.sha3_224, 256: hashlib.sha3_256}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Digest:
     """A fixed-width fingerprint. Equality is bitwise."""
 
@@ -43,7 +43,7 @@ class Digest:
         return f"Digest({self.width_bits}, {self.bits.hex()[:12]}..)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacKey:
     """Shared symmetric key material for one pair of devices.
 
@@ -62,7 +62,7 @@ class MacKey:
         return f"MacKey(id={self.key_id!r}, bits={self.length_bits})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacTag:
     key_id: str
     tag: bytes

@@ -413,13 +413,16 @@ class Simulation:
         row.homophily = homophily_index(self.graph)
 
         if sc.record_trust:
+            samples = self.trust_samples
             for owner in self.graph.node_ids():
                 ledger = self.ledgers[owner]
-                for peer, rec in sorted(ledger.records().items()):
-                    self.trust_samples.append(metrics_mod.TrustSample(
-                        epoch=epoch, owner=owner, peer=peer,
-                        resp_prob=rec.resp_prob, cond_trust=rec.cond_trust,
-                        combined=combined_trust(ledger, peer)))
+                records = ledger.records()
+                if not records:
+                    continue
+                for peer, rec in sorted(records.items()):
+                    samples.append(metrics_mod.TrustSample(
+                        epoch, owner, peer, rec.resp_prob, rec.cond_trust,
+                        combined_trust(ledger, peer)))
 
     def run(self) -> tuple[EventLog, "metrics_mod.MetricsReport"]:
         for epoch in range(self.scenario.epochs):

@@ -8,6 +8,7 @@ logs agree bit for bit.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -61,20 +62,30 @@ _HEADS = {kind: (struct.Struct(f">{HEADER.size}sq{len(kind_field)}s"
 
 def _encode(tick: int, kind: str, retrieval: int, bits: int,
             data: dict) -> tuple[dict[str, str], bytes]:
-    """One pass over a record's sorted keys: its values as strings, and its
-    wire form. ``retrieval`` is -1 for a record outside any retrieval."""
+    """One pass over a record's sorted keys: its values as interned
+    strings, and its wire form. ``retrieval`` is -1 for a record outside any
+    retrieval. Most values repeat across a log (ids, booleans, digests,
+    reasons), so interning keeps one copy of each per process."""
     head, kind_field = _HEADS[kind]
     parts = [head.pack(_INT_HEAD, tick, kind_field, _INT_HEAD, retrieval, _INT_HEAD, bits)]
     strings = {}
     for key in sorted(data):
-        value = strings[key] = str(data[key])
+        value = strings[key] = sys.intern(str(data[key]))
         raw = f"{key}={value}".encode("utf-8")
         parts += (HEADER.pack(TAG_STR, len(raw)), raw)
     return strings, b"".join(parts)
 
 
 class EventRecord(NamedTuple):
-    """One logged event; ``data`` maps each key to its value as a string."""
+    """One logged event; ``data`` maps each key to its value as an interned
+    string.
+
+    ``data`` is a plain dict and must not be edited: the log hashed the
+    record's wire form when it was appended, so an edit leaves
+    ``EventLog.digest()`` disagreeing with ``canonical_bytes()``. A
+    read-only mapping would enforce this, but it measured about 4% slower
+    on a campaign sweep, so it is left to the caller.
+    """
 
     tick: int
     kind: str
@@ -144,7 +155,7 @@ class EventLog:
         return len(self.records)
 
 
-@dataclass
+@dataclass(slots=True)
 class RetrievalTrace:
     """The slice of a run belonging to one retrieval attempt."""
 

@@ -28,7 +28,7 @@ from .events import (
 from .messages import REASON_FINGERPRINT, REASON_NO_REPLIES, REASON_VOTE_TIE
 
 
-@dataclass
+@dataclass(slots=True)
 class EpochMetrics:
     epoch: int
     nodes: int = 0
@@ -71,7 +71,7 @@ def tally(row: EpochMetrics, trace: RetrievalTrace) -> None:
     row.vote_no_replies += trace.reason == REASON_NO_REPLIES
 
 
-@dataclass
+@dataclass(slots=True)
 class TrustSample:
     epoch: int
     owner: int
@@ -81,7 +81,7 @@ class TrustSample:
     combined: float
 
 
-@dataclass
+@dataclass(slots=True)
 class OverheadRecord:
     retrieval: int
     epoch: int

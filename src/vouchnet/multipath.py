@@ -19,7 +19,7 @@ from typing import Sequence
 from .apps import AppPackage
 from .community import CommunityGraph
 from .crypto import DEFAULT_WIDTH_BITS, MIN_KEY_BITS, Digest, fingerprint, verify_mac, mac
-from .errors import KeyMismatchError, NoVerifiersError, VouchnetError
+from .errors import NoVerifiersError, VouchnetError
 from .messages import (
     REASON_INSUFFICIENT,
     REASON_QUORUM,
@@ -80,8 +80,9 @@ def verify_round(requester: int, auth: AuthPackage, graph: CommunityGraph,
     Returns the polled verifier ids, in MAC order, and the replies that
     came back. Each verifier answers from its own key material; a neighbor
     that has since lost its link to the sender, or whose behavior swallows
-    the reply, is polled but contributes nothing. A broken key store
-    surfaces as an error rather than a quiet negative verdict.
+    the reply, is polled but contributes nothing. A tag made under some
+    other pair's key is a False verdict; a broken key store surfaces as an
+    error rather than a quiet negative verdict.
     ``requester`` is unused, since a verifier answers the same whoever
     asks; it stays only for the positional call shape
     ``verify_round(requester, auth, graph, interceptor=...)``.
@@ -98,10 +99,10 @@ def verify_round(requester: int, auth: AuthPackage, graph: CommunityGraph,
         if key is None:
             raise VouchnetError(
                 f"verifier {verifier} is linked to {sender} but holds no key")
-        try:
-            verdict = verify_mac(key, bound, tag, min_key_bits=min_key_bits)
-        except KeyMismatchError:
+        if tag.key_id != key.key_id:
             verdict = False  # tag speaks for some other pairing; worthless here
+        else:
+            verdict = verify_mac(key, bound, tag, min_key_bits=min_key_bits)
         reply = VerifyReply(verifier, verdict)
         if interceptor is not None:
             reply = interceptor(verifier, reply)

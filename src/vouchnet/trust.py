@@ -21,7 +21,7 @@ STRANGER_COND = 0.5
 ALPHA = 0.1
 
 
-@dataclass
+@dataclass(slots=True)
 class TrustRecord:
     resp_prob: float = STRANGER_RESP
     cond_trust: float = STRANGER_COND

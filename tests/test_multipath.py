@@ -7,7 +7,7 @@ import pytest
 from vouchnet.adversary import Behavior, InterceptContext, intercept
 from vouchnet.apps import AppCatalog, AppId, tamper
 from vouchnet.community import CommunityGraph, NodeProfile
-from vouchnet.crypto import fingerprint
+from vouchnet.crypto import fingerprint, verify_mac
 from vouchnet.errors import NoVerifiersError, VouchnetError
 from vouchnet.messages import REASON_INSUFFICIENT, AuthPackage, VerifyReply
 from vouchnet.multipath import build_auth_package, decide, toc_tou_check, verify_round
@@ -247,3 +247,22 @@ def test_higher_quorum_is_stricter():
     replies = [vr(i, i < 6) for i in range(10)]
     assert decide(replies, total_polled=10, quorum=0.5).accepted
     assert not decide(replies, total_polled=10, quorum=0.7).accepted
+
+
+def test_tag_under_another_pairs_key_id_is_refused_without_verifying(monkeypatch):
+    g, catalog, clean = star_world(2)
+    auth = build_auth_package(0, clean, g)
+    (v1, _), (v2, tag2) = auth.macs
+    mixed = AuthPackage(sender=auth.sender, app_id=auth.app_id, payload=auth.payload,
+                        claimed_digest=auth.claimed_digest, macs=((v1, tag2), (v2, tag2)))
+    presented = []
+
+    def recording_verify_mac(key, message, tag, **kwargs):
+        presented.append((key.key_id, tag.key_id))
+        return verify_mac(key, message, tag, **kwargs)
+
+    monkeypatch.setattr("vouchnet.multipath.verify_mac", recording_verify_mac)
+    polled, replies = verify_round(100, mixed, g)
+    assert [(r.verifier, r.verdict) for r in replies] == [(v1, False), (v2, True)]
+    assert presented == [(tag2.key_id, tag2.key_id)]
+    assert decide(replies, len(polled)).reason == REASON_INSUFFICIENT
