@@ -241,7 +241,7 @@ class ChurnSummary:
     severed: list[tuple[int, int]]
 
 
-def churn(graph: CommunityGraph, params: FormationParams, rng: random.Random,
+def churn(graph: CommunityGraph, params: FormationParams, rng: random.Random | None,
           ledgers: dict[int, Ledger] | None = None,
           type_distribution: dict[str, float] | None = None) -> ChurnSummary:
     """Apply one epoch of membership turnover.
@@ -249,20 +249,24 @@ def churn(graph: CommunityGraph, params: FormationParams, rng: random.Random,
     Each node leaves with ``leave_rate``; with ``join_rate`` one new node
     of seeded random type joins. Existing links whose accumulated trust
     fell below the severance threshold are cut (key destroyed with them).
+    With both rates 0 no draw could change anything, so ``rng`` is not
+    drawn from and may be None; severance still runs.
     """
-    left = [n for n in graph.node_ids() if rng.random() < params.leave_rate]
-    for node in left:
-        graph.remove_node(node)
-
+    left: list[int] = []
     joined: list[int] = []
-    if rng.random() < params.join_rate:
-        types = sorted(type_distribution) if type_distribution else ["default"]
-        weights = [type_distribution[t] for t in types] if type_distribution else [1.0]
-        node_type = rng.choices(types, weights=weights, k=1)[0]
-        nid = graph.allocate_id()
-        graph.add_node(NodeProfile(id=nid, node_type=node_type,
-                                   max_degree=params.max_degree))
-        joined.append(nid)
+    if params.leave_rate or params.join_rate:
+        left = [n for n in graph.node_ids() if rng.random() < params.leave_rate]
+        for node in left:
+            graph.remove_node(node)
+
+        if rng.random() < params.join_rate:
+            types = sorted(type_distribution) if type_distribution else ["default"]
+            weights = [type_distribution[t] for t in types] if type_distribution else [1.0]
+            node_type = rng.choices(types, weights=weights, k=1)[0]
+            nid = graph.allocate_id()
+            graph.add_node(NodeProfile(id=nid, node_type=node_type,
+                                       max_degree=params.max_degree))
+            joined.append(nid)
 
     severed: list[tuple[int, int]] = []
     if ledgers is not None:

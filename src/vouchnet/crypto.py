@@ -5,11 +5,14 @@ MACs are HMAC over the same SHA-3 function, so a tag occupies exactly one
 fingerprint-width unit on the wire and both primitives are priced alike by
 the bandwidth model. ``mac`` and ``verify_mac`` share one HMAC routine
 (RFC 2104): on a key's first use at a width it absorbs the keyed inner and
-outer pads into two SHA-3 states and keeps them on the key, and every tag
+outer pads into two SHA-3 states and keeps them on the key, and a new tag
 after that copies the two states and hashes only the message and the inner
-digest. Verifying compares the raw bytes. Keys are minted only when two
-devices link (``CommunityGraph.add_edge``), and each device's key store is
-a plain ``dict`` of neighbor id to ``MacKey``.
+digest. The key also keeps the last message it tagged with that tag, so
+tagging or verifying the same binding again under the same key costs one
+bytes comparison. Only the expected tag is kept, never a verdict: every
+presented tag is still compared in constant time against it. Keys are
+minted only when two devices link (``CommunityGraph.add_edge``), and each
+device's key store is a plain ``dict`` of neighbor id to ``MacKey``.
 """
 
 from __future__ import annotations
@@ -48,15 +51,16 @@ class MacKey:
     """Shared symmetric key material for one pair of devices.
 
     ``repr`` omits the material so keys never leak through logs or
-    serialized metrics. ``_pads`` holds the keyed HMAC states per digest
-    width once the key has been used at that width; it takes no part in
-    equality, hashing or ``repr``.
+    serialized metrics. ``_hmac_state`` is None until the key's first use,
+    then one tuple ``(width_bits, inner, outer, message, tag)``: the keyed
+    HMAC states at the width last used and the last message tagged at it,
+    with its tag. It takes no part in equality, hashing or ``repr``.
     """
 
     key_id: str
     material: bytes = field(repr=False)
     length_bits: int
-    _pads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _hmac_state: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self) -> str:
         return f"MacKey(id={self.key_id!r}, bits={self.length_bits})"
@@ -93,11 +97,19 @@ def new_hash(width_bits: int = DEFAULT_WIDTH_BITS):
 def _hmac_tag(key: MacKey, message: bytes, width_bits: int) -> bytes:
     """HMAC-SHA3 of ``message`` under ``key``, byte for byte as RFC 2104.
 
-    The pads are derived on the key's first use at ``width_bits`` and
-    reused after that, since a link's key never changes.
+    The last message tagged at ``width_bits`` gets its kept tag back
+    without hashing. Any other message is hashed from the key's pad states,
+    which are derived on its first use at ``width_bits`` (again after a
+    width change; a run uses one width), and its tag replaces the kept
+    one. Message, tag and states live in one tuple, replaced whole, so a
+    message is never read with another message's tag.
     """
-    pads = key._pads.get(width_bits)
-    if pads is None:
+    state = key._hmac_state
+    if state is not None and state[0] == width_bits:
+        if state[3] == message:
+            return state[4]
+        inner, outer = state[1], state[2]
+    else:
         h = _hash_for(width_bits)
         inner = h()
         block = inner.block_size
@@ -106,12 +118,14 @@ def _hmac_tag(key: MacKey, message: bytes, width_bits: int) -> bytes:
             material = h(material).digest()
         material = material.ljust(block, b"\0")
         inner.update(material.translate(_hmac.trans_36))
-        pads = key._pads[width_bits] = (inner, h(material.translate(_hmac.trans_5C)))
-    inner = pads[0].copy()
-    inner.update(message)
-    outer = pads[1].copy()
-    outer.update(inner.digest())
-    return outer.digest()
+        outer = h(material.translate(_hmac.trans_5C))
+    inner_hash = inner.copy()
+    inner_hash.update(message)
+    outer_hash = outer.copy()
+    outer_hash.update(inner_hash.digest())
+    tag = outer_hash.digest()
+    object.__setattr__(key, "_hmac_state", (width_bits, inner, outer, bytes(message), tag))
+    return tag
 
 
 def _check_strength(key: MacKey, min_key_bits: int) -> None:
@@ -141,8 +155,11 @@ def verify_mac(key: MacKey, message: bytes, tag: MacTag,
     caller presented the tag against the wrong pairwise key, which must not
     be conflated with a forged message. A key below the minimum raises
     ``KeyStrengthError`` whatever minimum the tag was made under. Both
-    checks run on every call, before the key's cached HMAC states are
-    touched; the expected tag is then recomputed from those states.
+    checks run on every call, before the key's HMAC state is touched. The
+    expected tag is the genuine HMAC of the message under the key: the
+    kept one when the key last tagged this message at this width,
+    otherwise computed. The presented tag is compared against it in
+    constant time either way.
     """
     if tag.key_id != key.key_id:
         raise KeyMismatchError(f"tag was made under {tag.key_id!r}, not {key.key_id!r}")

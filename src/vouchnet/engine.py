@@ -363,7 +363,9 @@ class Simulation:
 
         self._refresh_flagged()
 
-        summary = churn(self.graph, sc.formation, derive_rng(self.seed, "churn", epoch),
+        turnover = sc.formation.leave_rate or sc.formation.join_rate
+        summary = churn(self.graph, sc.formation,
+                        derive_rng(self.seed, "churn", epoch) if turnover else None,
                         ledgers=self.ledgers, type_distribution=sc.type_distribution)
         for node in summary.left:
             self.installs.uninstall_node(node)

@@ -347,6 +347,18 @@ def test_low_trust_edge_severed():
     assert 1 not in g.keystores[0]
 
 
+def test_churn_without_turnover_draws_nothing_and_still_severs():
+    g = build_graph(3)
+    g.add_edge(0, 1, random.Random(0))
+    ledgers = empty_ledgers(g)
+    ledgers[0]._touch(1).cond_trust = 0.0
+    params = FormationParams(join_rate=0.0, leave_rate=0.0, severance_threshold=0.2)
+    summary = churn(g, params, None, ledgers=ledgers)  # None: any draw would raise
+    assert (summary.left, summary.joined, summary.severed) == ([], [], [(0, 1)])
+    assert not g.has_edge(0, 1)
+    assert len(g) == 3
+
+
 def test_default_trust_is_above_severance_threshold():
     g = build_graph(2)
     g.add_edge(0, 1, random.Random(0))

@@ -3,6 +3,7 @@
 import hashlib
 import hmac
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from vouchnet import crypto
 from vouchnet.crypto import (
     Digest,
     MacKey,
+    MacTag,
     fingerprint,
     mac,
     verify_mac,
@@ -126,8 +128,11 @@ def test_short_key_allowed_when_minimum_lowered():
 def test_verify_refuses_weak_key_under_default_minimum():
     weak = make_key(bits=64)
     tag = mac(weak, b"m", min_key_bits=64)
+    assert verify_mac(weak, b"m", tag, min_key_bits=64)  # the weak key now keeps this tag
     with pytest.raises(KeyStrengthError):
         verify_mac(weak, b"m", tag)
+    with pytest.raises(KeyStrengthError):
+        mac(weak, b"m")
 
 
 def test_key_id_mismatch_is_checked_before_key_strength():
@@ -187,6 +192,54 @@ def test_key_derives_its_hmac_states_once_per_width(monkeypatch):
     assert hash(key) == hash(fresh)
     assert repr(key) == repr(fresh)
     assert key.material.hex() not in repr(key)
+
+
+# Two messages of one length, so a memo that told them apart by length
+# alone would hand one the other's tag.
+M1, M2 = b"app:lamp:1", b"app:lamp:2"
+
+
+def test_kept_tag_is_the_reference_hmac_as_messages_and_widths_alternate():
+    key = make_key(bits=256, seed=4)
+    last = last_tag = None
+    for width in (224, 256, 224):
+        for message in (M1, M1, M2, M1):
+            tag = mac(key, message, width_bits=width).tag
+            assert tag == hmac.digest(key.material, message, getattr(hashlib, f"sha3_{width}"))
+            assert verify_mac(key, message, MacTag(key.key_id, tag, width))
+            if last == (message, width):
+                assert tag is last_tag  # the kept tag, not hashed again
+            last, last_tag = (message, width), tag
+
+
+def test_kept_tag_does_not_accept_a_zeroed_tag():
+    key = make_key()
+    genuine = mac(key, M1)
+    assert verify_mac(key, M1, genuine)
+    zeroed = MacTag(genuine.key_id, bytes(len(genuine.tag)), genuine.width_bits)
+    assert verify_mac(key, M1, zeroed) is False
+
+
+def test_kept_tag_does_not_vouch_for_another_message():
+    key = make_key()
+    tag = mac(key, M1)
+    assert verify_mac(key, M2, tag) is False
+    assert verify_mac(key, M1, tag)
+
+
+def test_key_keeps_one_tag_whatever_the_number_of_messages():
+    key = make_key()
+    messages = [b"app:lamp:%04d" % i for i in range(1000)]
+    mac(key, b"warm-up")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for message in messages:
+            assert verify_mac(key, message, mac(key, message))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 4096  # 1000 kept tags alone would be over 60 kB
 
 
 def test_key_repr_hides_material():

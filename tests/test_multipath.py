@@ -206,6 +206,20 @@ def test_replayed_tag_under_different_digest_fails():
     assert replies and all(not r.verdict for r in replies)
 
 
+def test_relinked_pair_refuses_the_old_keys_tag():
+    g, catalog, clean = star_world(2)
+    auth = build_auth_package(0, clean, g)
+    _, replies = verify_round(100, auth, g)
+    assert [r.verdict for r in replies] == [True, True]
+    old_key = g.keystores[1][0]
+    g.remove_edge(0, 1)
+    g.add_edge(0, 1, random.Random(9))
+    assert g.keystores[1][0].key_id == old_key.key_id
+    assert g.keystores[1][0] is not old_key
+    _, replies = verify_round(100, auth, g)
+    assert [(r.verifier, r.verdict) for r in replies] == [(1, False), (2, True)]
+
+
 # -- quorum decision -----------------------------------------------------------
 
 

@@ -201,6 +201,17 @@ def test_retrieval_stream_is_derived_only_past_the_vote(monkeypatch):
     assert reached == OUTCOMES
 
 
+def test_churn_stream_is_derived_only_when_a_node_can_join_or_leave(monkeypatch):
+    sim, calls = recorded_run(monkeypatch, "tampered_campaign", "derive_rng")
+    formation = sim.scenario.formation
+    assert formation.join_rate == formation.leave_rate == 0
+    assert [args for args in calls if args[1] == "churn"] == []
+    sim, calls = recorded_run(monkeypatch, "community_study", "derive_rng")
+    assert sim.scenario.formation.join_rate > 0
+    assert [args for args in calls if args[1] == "churn"] == [
+        (sim.seed, "churn", epoch) for epoch in range(sim.scenario.epochs)]
+
+
 def test_formation_runs_only_when_offers_can_be_made(monkeypatch):
     sim, calls = recorded_run(monkeypatch, "tampered_campaign", "propose_and_approve")
     assert sim.scenario.formation.proposals_per_round == 0
