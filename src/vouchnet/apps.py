@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
-from .crypto import DEFAULT_WIDTH_BITS, Digest, fingerprint
+from .crypto import DEFAULT_WIDTH_BITS, Digest, Memo, fingerprint
 from .errors import DuplicateAppError
 
 ORIGIN_STORE = "store"
 ORIGIN_TAMPERED = "tampered"
+
+
+def app_label(app) -> str:
+    """The ``name@version`` label of an app's ``name`` and ``version``;
+    ``AppId.parse`` reads it back. It is the ``label`` method of ``AppId``
+    and of ``scenario.AppSpec``."""
+    return f"{app.name}@{app.version}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -18,8 +25,7 @@ class AppId:
     name: str
     version: str
 
-    def label(self) -> str:
-        return f"{self.name}@{self.version}"
+    label = app_label
 
     @staticmethod
     def parse(label: str) -> "AppId":
@@ -30,25 +36,27 @@ class AppId:
 
 
 @dataclass(frozen=True, slots=True)
-class AppPackage:
+class AppPackage(Memo):
     """An installable payload plus where it came from.
 
     ``adversary`` is the id of the device (or campaign) that produced a
-    tampered variant; it is None for store-published packages.
-    ``_digests`` holds the payload's digest per width once it has been
-    computed; it takes no part in equality, hashing or ``repr``.
+    tampered variant; it is None for store-published packages. Its memo
+    is the payload's digest at the width it was last asked for.
     """
 
     app_id: AppId
     payload: bytes
     origin: str = ORIGIN_STORE
     adversary: int | None = None
-    _digests: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def fingerprint(self, width_bits: int = DEFAULT_WIDTH_BITS) -> Digest:
-        digest = self._digests.get(width_bits)
-        if digest is None:
-            digest = self._digests[width_bits] = fingerprint(self.payload, width_bits)
+        try:
+            digest = self._memo
+        except AttributeError:  # not fingerprinted yet
+            digest = None
+        if digest is None or digest.width_bits != width_bits:
+            digest = fingerprint(self.payload, width_bits)
+            object.__setattr__(self, "_memo", digest)
         return digest
 
     @property

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .crypto import MacKey
 from .errors import ConfigurationError
-from .trust import Ledger, combined_trust
+from .trust import STRANGER_TRUST, Ledger, combined_trust
 
 DEFAULT_MAX_DEGREE = 8
 SUPERNODE_DEGREE_MULTIPLIER = 4
@@ -154,9 +154,9 @@ class CommunityGraph:
 def marginal_utility(i: NodeProfile, j: NodeProfile, params: FormationParams,
                      ledger: Ledger | None = None) -> float:
     """Value to ``i`` of linking with ``j``: type benefit, plus weighted
-    trust, minus the link cost. Strangers read as 0.5 trust."""
+    trust, minus the link cost. Without a ledger ``j`` is a stranger."""
     benefit = params.beta_same if i.node_type == j.node_type else params.beta_diff
-    tau = combined_trust(ledger, j.id) if ledger is not None else 0.5
+    tau = STRANGER_TRUST if ledger is None else combined_trust(ledger, j.id)
     return benefit + params.trust_weight * tau - params.link_cost
 
 
@@ -169,11 +169,11 @@ def propose_and_approve(graph: CommunityGraph, params: FormationParams,
     A proposer ranks every unlinked node with positive utility by
     (-utility, id) and offers links to the top ``proposals_per_round``.
     The ranking is computed without scoring every node: a peer missing
-    from the proposer's ledger reads as 0.5 trust, so its utility depends
-    only on the two types, and only the lowest eligible ids of a type can
-    make the cut. Those utilities are scored once per round for each pair
-    of types, and membership does not change within a round, so the ids
-    are bucketed by type once. Known peers are scored one by one; each
+    from the proposer's ledger reads as ``STRANGER_TRUST``, so its utility
+    depends only on the two types, and only the lowest eligible ids of a
+    type can make the cut. Those utilities are scored once per round for
+    each pair of types, and membership does not change within a round, so
+    the ids are bucketed by type once. Known peers are scored one by one; each
     type contributes its first ``proposals_per_round`` eligible ids. That
     is O(known peers + types x proposals) per proposer, plus the
     neighbours skipped on the way, and gives exactly the all-pairs list,
@@ -190,7 +190,7 @@ def propose_and_approve(graph: CommunityGraph, params: FormationParams,
     for own, own_ids in by_type.items():
         offers = stranger_offers[own] = []
         for ids in by_type.values():
-            # Scored without a ledger: the 0.5 every stranger of this type reads as.
+            # Scored without a ledger, as every stranger of this type is.
             util = marginal_utility(nodes[own_ids[0]], nodes[ids[0]], params)
             if util > 0.0:
                 offers.append((-util, ids))

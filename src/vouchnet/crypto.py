@@ -10,7 +10,9 @@ after that copies the two states and hashes only the message and the inner
 digest. The key also keeps the last message it tagged with that tag, so
 tagging or verifying the same binding again under the same key costs one
 bytes comparison. Only the expected tag is kept, never a verdict: every
-presented tag is still compared in constant time against it. Keys are
+presented tag is still compared in constant time against it. What a key
+keeps lives in a ``Memo`` slot outside its fields, so a copy or a pickle
+of the key carries none of it and starts afresh. Keys are
 minted only when two devices link (``CommunityGraph.add_edge``), and each
 device's key store is a plain ``dict`` of neighbor id to ``MacKey``.
 """
@@ -46,21 +48,30 @@ class Digest:
         return f"Digest({self.width_bits}, {self.bits.hex()[:12]}..)"
 
 
+class Memo:
+    """Base of a frozen slotted dataclass that keeps one value derived from
+    its fields in the ``_memo`` slot. The slot is not a field, so it takes
+    no part in equality, hashing, ``repr`` or ``dataclasses.asdict``, and the
+    generated ``__getstate__``/``__setstate__`` leave it out: a copy or an
+    unpickled instance starts with the slot unset. Reading an unset slot
+    raises ``AttributeError``."""
+
+    __slots__ = ("_memo",)
+
+
 @dataclass(frozen=True, slots=True)
-class MacKey:
+class MacKey(Memo):
     """Shared symmetric key material for one pair of devices.
 
     ``repr`` omits the material so keys never leak through logs or
-    serialized metrics. ``_hmac_state`` is None until the key's first use,
-    then one tuple ``(width_bits, inner, outer, message, tag)``: the keyed
-    HMAC states at the width last used and the last message tagged at it,
-    with its tag. It takes no part in equality, hashing or ``repr``.
+    serialized metrics. From the key's first use its memo is one tuple
+    ``(width_bits, inner, outer, message, tag)``: the keyed HMAC states at
+    the width last used and the last message tagged at it, with its tag.
     """
 
     key_id: str
     material: bytes = field(repr=False)
     length_bits: int
-    _hmac_state: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self) -> str:
         return f"MacKey(id={self.key_id!r}, bits={self.length_bits})"
@@ -104,11 +115,13 @@ def _hmac_tag(key: MacKey, message: bytes, width_bits: int) -> bytes:
     one. Message, tag and states live in one tuple, replaced whole, so a
     message is never read with another message's tag.
     """
-    state = key._hmac_state
-    if state is not None and state[0] == width_bits:
-        if state[3] == message:
-            return state[4]
-        inner, outer = state[1], state[2]
+    try:
+        kept_width, inner, outer, kept_message, kept_tag = key._memo
+    except AttributeError:  # the key's first use
+        kept_width = None
+    if kept_width == width_bits:
+        if kept_message == message:
+            return kept_tag
     else:
         h = _hash_for(width_bits)
         inner = h()
@@ -124,7 +137,7 @@ def _hmac_tag(key: MacKey, message: bytes, width_bits: int) -> bytes:
     outer_hash = outer.copy()
     outer_hash.update(inner_hash.digest())
     tag = outer_hash.digest()
-    object.__setattr__(key, "_hmac_state", (width_bits, inner, outer, bytes(message), tag))
+    object.__setattr__(key, "_memo", (width_bits, inner, outer, bytes(message), tag))
     return tag
 
 

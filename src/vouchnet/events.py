@@ -45,19 +45,20 @@ EVENT_KINDS = (EV_EPOCH, EV_JOIN, EV_LEAVE, EV_SEVER, EV_LINK, EV_STORE_REFRESH,
 MESSAGE_KINDS = frozenset({EV_CALL_OUT, EV_REPLY, EV_NOTICE, EV_DELIVERY,
                            EV_VERIFY_REQ, EV_VERIFY_REPLY})
 
-# Digest-width units a message costs on the wire: one per fingerprint reply,
-# verification request and verification reply, and one per MAC a delivery
-# carries (its ``macs`` field). A call-out, a notice and every bookkeeping
-# event cost nothing.
-_UNIT_KINDS = frozenset({EV_REPLY, EV_VERIFY_REQ, EV_VERIFY_REPLY})
-
-# A record's wire form is encode_fields(tick, kind, retrieval or -1, bits,
-# "key=value" for each key in sorted order). Per kind, one struct packs the
-# four leading fields, with the kind's field encoded once.
+# One row per kind: (head, kind_field, ticks, units). A record's wire form is
+# encode_fields(tick, kind, retrieval or -1, bits, "key=value" for each key in
+# sorted order); ``head`` packs its four leading fields, with ``kind_field``,
+# the kind's own field, encoded once. ``ticks`` is whether the kind advances
+# the tick. ``units`` is its price in digest-width units: one for a
+# fingerprint reply, a verification request and a verification reply; for a
+# delivery, the name of the field that counts its MACs, one unit each; none
+# for a call-out, a notice and every bookkeeping event.
 _INT_HEAD = HEADER.pack(TAG_INT, INT.size)
-_HEADS = {kind: (struct.Struct(f">{HEADER.size}sq{len(kind_field)}s"
-                               f"{HEADER.size}sq{HEADER.size}sq"), kind_field)
-          for kind, kind_field in ((kind, encode_fields(kind)) for kind in EVENT_KINDS)}
+KINDS = {
+    kind: (struct.Struct(f">{HEADER.size}sq{len(kind_field)}s{HEADER.size}sq{HEADER.size}sq"),
+           kind_field, kind in MESSAGE_KINDS,
+           {EV_REPLY: 1, EV_VERIFY_REQ: 1, EV_VERIFY_REPLY: 1, EV_DELIVERY: "macs"}.get(kind, 0))
+    for kind, kind_field in ((kind, encode_fields(kind)) for kind in EVENT_KINDS)}
 
 
 def _encode(tick: int, kind: str, retrieval: int, bits: int,
@@ -66,7 +67,7 @@ def _encode(tick: int, kind: str, retrieval: int, bits: int,
     strings, and its wire form. ``retrieval`` is -1 for a record outside any
     retrieval. Most values repeat across a log (ids, booleans, digests,
     reasons), so interning keeps one copy of each per process."""
-    head, kind_field = _HEADS[kind]
+    head, kind_field, _, _ = KINDS[kind]
     parts = [head.pack(_INT_HEAD, tick, kind_field, _INT_HEAD, retrieval, _INT_HEAD, bits)]
     strings = {}
     for key in sorted(data):
@@ -121,16 +122,13 @@ class EventLog:
         self._hash = new_hash(width_bits)
 
     def append(self, kind: str, data: dict, trace: RetrievalTrace | None = None) -> EventRecord:
-        """Record one event: tick it if it is a protocol message, price it
-        in digest units, store its values as strings, and file it under
+        """Record one event: tick and price it by its kind's row in
+        ``KINDS``, store its values as strings, and file it under
         ``trace``'s retrieval when one is given."""
-        if kind in MESSAGE_KINDS:
-            self._tick += 1
-        if kind == EV_DELIVERY:
-            units = int(data["macs"])
-        else:
-            units = 1 if kind in _UNIT_KINDS else 0
-        bits = units * self.width_bits
+        _, _, ticks, units = KINDS[kind]
+        if ticks:
+            self._tick += 1  # only on a tick, so the records between ticks share one int
+        bits = (int(data[units]) if isinstance(units, str) else units) * self.width_bits
         retrieval = None if trace is None else trace.retrieval
         strings, wire = _encode(self._tick, kind, -1 if retrieval is None else retrieval,
                                 bits, data)

@@ -10,13 +10,10 @@ import random
 
 
 def derive_seed(root_seed: int, *labels: object) -> int:
-    """Map (root seed, label path) to a stable 64-bit seed."""
-    h = hashlib.sha256()
-    h.update(str(int(root_seed)).encode("ascii"))
-    for label in labels:
-        h.update(b"/")
-        h.update(str(label).encode("utf-8"))
-    return int.from_bytes(h.digest()[:8], "big")
+    """Map (root seed, label path) to a stable 64-bit seed: the first 8
+    bytes of the SHA-256 of ``root/label/label/...`` in UTF-8."""
+    path = "/".join([str(int(root_seed)), *map(str, labels)])
+    return int.from_bytes(hashlib.sha256(path.encode("utf-8")).digest()[:8], "big")
 
 
 def derive_rng(root_seed: int, *labels: object) -> random.Random:

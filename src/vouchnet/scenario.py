@@ -17,6 +17,7 @@ from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .adversary import CompromiseSpec
+from .apps import app_label
 from .community import FormationParams
 from .crypto import DEFAULT_WIDTH_BITS, MIN_KEY_BITS, SUPPORTED_WIDTHS
 from .errors import ScenarioError, UnknownParameterError
@@ -48,8 +49,7 @@ class AppSpec:
     # corrupted copy instead of the store package.
     tampered_holders: object = field(default_factory=list)
 
-    def label(self) -> str:
-        return f"{self.name}@{self.version}"
+    label = app_label
 
 
 @dataclass
@@ -122,8 +122,7 @@ class Scenario:
                   "formation.max_degree: too small for a complete initial topology")
         links = set()
         for e in self.initial_edges:
-            ok = (isinstance(e, (list, tuple)) and len(e) == 2
-                  and all(isinstance(x, int) and 0 <= x < self.node_count for x in e)
+            ok = (isinstance(e, (list, tuple)) and len(e) == 2 and self._ids_in_range(e)
                   and e[0] != e[1])
             check(ok, f"initial_edges: bad entry {e!r}")
             if ok:

@@ -35,7 +35,8 @@ class Ledger:
         self._records: dict[int, TrustRecord] = {}
 
     def get_record(self, peer: int) -> TrustRecord:
-        """Current record; strangers read as the (0.5, 0.5) prior."""
+        """Current record; strangers read as the (``STRANGER_RESP``,
+        ``STRANGER_COND``) prior."""
         rec = self._records.get(peer)
         return rec if rec is not None else TrustRecord()
 
@@ -90,13 +91,23 @@ def subjective_trust(ledger: Ledger, responders: Sequence[int]) -> float:
     return sum(r.cond_trust * (r.resp_prob / total) for r in records)
 
 
-def combined_trust(ledger: Ledger, peer: int) -> float:
-    """Trust in a single peer as a collaborator.
+def _combine(resp_prob: float, cond_trust: float) -> float:
+    """Response-weighted correctness, rescaled so the maximum-uncertainty
+    stranger reads 0.5, capped at 1."""
+    return min(1.0, 2.0 * resp_prob * cond_trust)
 
-    Response-weighted correctness, rescaled so the maximum-uncertainty
-    stranger reads 0.5, capped at 1. A peer that stops answering decays
-    toward 0 regardless of how good its past answers were; link severance
-    and formation utilities key on exactly that.
+
+# Combined trust in a peer the ledger holds no record of.
+STRANGER_TRUST = _combine(STRANGER_RESP, STRANGER_COND)
+
+
+def combined_trust(ledger: Ledger, peer: int) -> float:
+    """Trust in a single peer as a collaborator: ``STRANGER_TRUST`` for a
+    peer without a record, otherwise its record combined as above.
+
+    A peer that stops answering decays toward 0 regardless of how good its
+    past answers were; link severance and formation utilities key on
+    exactly that.
     """
-    rec = ledger.get_record(peer)
-    return min(1.0, 2.0 * rec.resp_prob * rec.cond_trust)
+    rec = ledger._records.get(peer)
+    return STRANGER_TRUST if rec is None else _combine(rec.resp_prob, rec.cond_trust)
