@@ -10,11 +10,14 @@ after that copies the two states and hashes only the message and the inner
 digest. The key also keeps the last message it tagged with that tag, so
 tagging or verifying the same binding again under the same key costs one
 bytes comparison. Only the expected tag is kept, never a verdict: every
-presented tag is still compared in constant time against it. What a key
-keeps lives in a ``Memo`` slot outside its fields, so a copy or a pickle
-of the key carries none of it and starts afresh. Keys are
-minted only when two devices link (``CommunityGraph.add_edge``), and each
-device's key store is a plain ``dict`` of neighbor id to ``MacKey``.
+presented tag is still compared in constant time against it. A digest
+likewise keeps the last app binding ``messages.mac_message`` encoded for
+it, so a delivery's binding is encoded once and every verification round
+over it hands each key the very bytes object it tagged. What a key or a
+digest keeps lives in a ``Memo`` slot outside its fields, so a copy or a
+pickle carries none of it and starts afresh. Keys are minted only when two
+devices link (``CommunityGraph.add_edge``), and each device's key store is
+a plain ``dict`` of neighbor id to ``MacKey``.
 """
 
 from __future__ import annotations
@@ -34,20 +37,6 @@ MIN_KEY_BITS = 128
 _HASHES = {224: hashlib.sha3_224, 256: hashlib.sha3_256}
 
 
-@dataclass(frozen=True, slots=True)
-class Digest:
-    """A fixed-width fingerprint. Equality is bitwise."""
-
-    bits: bytes
-    width_bits: int
-
-    def hex(self) -> str:
-        return self.bits.hex()
-
-    def __repr__(self) -> str:  # short form keeps logs readable
-        return f"Digest({self.width_bits}, {self.bits.hex()[:12]}..)"
-
-
 class Memo:
     """Base of a frozen slotted dataclass that keeps one value derived from
     its fields in the ``_memo`` slot. The slot is not a field, so it takes
@@ -57,6 +46,26 @@ class Memo:
     raises ``AttributeError``."""
 
     __slots__ = ("_memo",)
+
+
+@dataclass(frozen=True, slots=True)
+class Digest(Memo):
+    """A fixed-width fingerprint. Equality is bitwise.
+
+    Once ``messages.mac_message`` has bound the digest to an app, its memo
+    is the tuple ``(app_id, bytes)``: the app object and the binding last
+    encoded for it, so a sender and every verifier of one delivery share
+    one bytes object.
+    """
+
+    bits: bytes
+    width_bits: int
+
+    def hex(self) -> str:
+        return self.bits.hex()
+
+    def __repr__(self) -> str:  # short form keeps logs readable
+        return f"Digest({self.width_bits}, {self.bits.hex()[:12]}..)"
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,5 +185,6 @@ def verify_mac(key: MacKey, message: bytes, tag: MacTag,
     """
     if tag.key_id != key.key_id:
         raise KeyMismatchError(f"tag was made under {tag.key_id!r}, not {key.key_id!r}")
-    _check_strength(key, min_key_bits)
+    if key.length_bits < min_key_bits:  # one comparison on the hot path
+        _check_strength(key, min_key_bits)
     return _hmac.compare_digest(_hmac_tag(key, message, tag.width_bits), tag.tag)

@@ -28,8 +28,22 @@ REASON_NO_VERIFIERS = "no-verifiers"
 
 
 def mac_message(app_id: AppId, digest: Digest) -> bytes:
-    """The bytes a sender authenticates: app identity bound to a digest."""
-    return encode_fields("mac", app_id.name, app_id.version, digest.bits)
+    """The bytes a sender authenticates: app identity bound to a digest.
+
+    The digest keeps the last binding encoded for it with the app object
+    it was encoded for, and a call with that same object gets the kept
+    bytes back. An equal but distinct app, or another app, is encoded
+    afresh and replaces the kept binding; both values are frozen, so the
+    kept bytes always equal a fresh encoding.
+    """
+    try:
+        kept_app, bound = digest._memo
+    except AttributeError:  # never bound
+        kept_app = None
+    if kept_app is not app_id:
+        bound = encode_fields("mac", app_id.name, app_id.version, digest.bits)
+        object.__setattr__(digest, "_memo", (app_id, bound))
+    return bound
 
 
 class FingerprintReply(NamedTuple):

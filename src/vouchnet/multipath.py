@@ -6,9 +6,11 @@ anything else, so a payload swapped in after the vote is caught no matter
 what the verifiers say; the verifier quorum then defends against a sender
 that never shared the voted content at all.
 
-A verification round polls the MAC'd neighbors by id; each one recomputes
-its tag with one HMAC under the key it shares with the sender and answers
-with a ``VerifyReply``.
+A verification round polls the MAC'd neighbors by id; each one checks the
+tag under the key it shares with the sender and answers with a
+``VerifyReply``. The round encodes nothing itself: ``mac_message`` hands
+it the binding the sender's digest keeps, and a key that tagged that
+binding compares against its kept tag instead of hashing again.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .protocol import Interceptor
 
 DEFAULT_MAC_FANOUT = 10
 DEFAULT_QUORUM = 0.5
+
+_new_reply = tuple.__new__
 
 
 def build_auth_package(sender: int, package: AppPackage, graph: CommunityGraph,
@@ -87,12 +91,14 @@ def verify_round(requester: int, auth: AuthPackage, graph: CommunityGraph,
     asks; it stays only for the positional call shape
     ``verify_round(requester, auth, graph, interceptor=...)``.
     """
+    polled: list[int] = []
     replies: list[VerifyReply] = []
     bound = mac_message(auth.app_id, auth.claimed_digest)
     sender = auth.sender
     keystores = graph.keystores
     sender_links = keystores.get(sender, ())
     for verifier, tag in auth.macs:
+        polled.append(verifier)
         if verifier not in sender_links:
             continue  # link gone; nobody holds the key anymore
         key = keystores[verifier].get(sender)
@@ -103,12 +109,14 @@ def verify_round(requester: int, auth: AuthPackage, graph: CommunityGraph,
             verdict = False  # tag speaks for some other pairing; worthless here
         else:
             verdict = verify_mac(key, bound, tag, min_key_bits=min_key_bits)
-        reply = VerifyReply(verifier, verdict)
+        # tuple.__new__ skips the named tuple's Python-level __new__; the
+        # reply is still a VerifyReply, which interceptors dispatch on.
+        reply = _new_reply(VerifyReply, (verifier, verdict))
         if interceptor is not None:
             reply = interceptor(verifier, reply)
         if reply is not None:
             replies.append(reply)
-    return auth.verifier_ids(), replies
+    return tuple(polled), replies
 
 
 def decide(replies: Sequence[VerifyReply], total_polled: int,

@@ -177,8 +177,8 @@ class Scenario:
         w = self.workload
         check(w.requests_per_epoch >= 0, "workload.requests_per_epoch: negative")
         for entry in w.explicit:
-            ok = (isinstance(entry, dict) and isinstance(entry.get("epoch"), int)
-                  and isinstance(entry.get("requester"), int)
+            ok = (isinstance(entry, dict) and _is_int(entry.get("epoch"))
+                  and _is_int(entry.get("requester"))
                   and isinstance(entry.get("app"), str))
             check(ok, f"workload.explicit: bad entry {entry!r}")
             if ok:
@@ -202,7 +202,7 @@ class Scenario:
             raise ScenarioError(problems)
 
     def _ids_in_range(self, ids: list) -> bool:
-        return all(isinstance(i, int) and 0 <= i < self.node_count for i in ids)
+        return all(_is_int(i) and 0 <= i < self.node_count for i in ids)
 
     def _type_problems(self) -> list[str]:
         """Values whose type their field does not admit: at the top level,
@@ -278,6 +278,11 @@ class Scenario:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON ``true`` is no node id or epoch."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _accepts(hint) -> tuple[type, ...]:

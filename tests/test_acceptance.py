@@ -227,9 +227,10 @@ def test_criterion_5_monte_carlo_security_bound():
     # tag. Acceptance should match Pr[Bin(k, p) > k/2] within 3 standard
     # errors over 1e5 trials per combination. Runtime is dominated by the
     # 6e6 constant-time tag comparisons against 30 computed tags: each
-    # pairwise key keeps the tag computed when the package was MAC'd, and
-    # every verification of that binding reuses it (about 10 s on a 2-vCPU
-    # host, Python 3.11.7).
+    # pairwise key keeps the tag computed when the package was MAC'd, the
+    # delivery's digest keeps the binding encoded then, and every
+    # verification round reuses both (about 7 s on a 2-vCPU host, Python
+    # 3.11.7).
     failures: list[str] = []
     trials = 100_000
     for k in (5, 10, 15):

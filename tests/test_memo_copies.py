@@ -1,6 +1,7 @@
-"""What a key or a package keeps for speed is not part of its value: a key
-that has tagged and a package that has been fingerprinted still copy,
-pickle and convert to a dict, and the copy starts with nothing kept."""
+"""What a key, a package or a digest keeps for speed is not part of its
+value: a key that has tagged, a package that has been fingerprinted and a
+digest that has been bound to an app still copy, pickle and convert to a
+dict, and the copy starts with nothing kept."""
 
 import copy
 import dataclasses
@@ -9,7 +10,8 @@ import pickle
 import pytest
 
 from vouchnet.apps import AppId, AppPackage
-from vouchnet.crypto import MacKey, mac, verify_mac
+from vouchnet.crypto import MacKey, fingerprint, mac, verify_mac
+from vouchnet.messages import mac_message
 
 DUPLICATES = {
     "deepcopy": copy.deepcopy,
@@ -45,10 +47,25 @@ def test_a_fingerprinted_package_copies_with_its_digest(how):
     assert duplicate.fingerprint(224) == package.fingerprint(224) != digest
 
 
+@pytest.mark.parametrize("how", DUPLICATES)
+def test_a_bound_digest_copies_without_its_binding(how):
+    digest = fingerprint(b"firmware")
+    plain = (digest, hash(digest), repr(digest))
+    bound = mac_message(AppId("lamp", "1"), digest)
+    assert (digest, hash(digest), repr(digest)) == plain
+    duplicate = DUPLICATES[how](digest)
+    assert duplicate == digest and hash(duplicate) == hash(digest)
+    assert repr(duplicate) == repr(digest)
+    assert not hasattr(duplicate, "_memo")
+    assert mac_message(AppId("lamp", "1"), duplicate) == bound
+
+
 def test_asdict_lists_exactly_the_fields_of_used_values():
     key, _ = used_key()
     package = AppPackage(app_id=AppId("lamp", "1"), payload=b"firmware")
-    package.fingerprint()
+    digest = package.fingerprint()
+    mac_message(package.app_id, digest)
+    assert dataclasses.asdict(digest) == {"bits": digest.bits, "width_bits": 224}
     assert dataclasses.asdict(key) == {"key_id": "pair:1:2", "material": bytes(range(32)),
                                        "length_bits": 256}
     assert dataclasses.asdict(package) == {"app_id": {"name": "lamp", "version": "1"},

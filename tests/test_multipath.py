@@ -7,10 +7,11 @@ import pytest
 from vouchnet.adversary import Behavior, InterceptContext, intercept
 from vouchnet.apps import AppCatalog, AppId, tamper
 from vouchnet.community import CommunityGraph, NodeProfile
-from vouchnet.crypto import fingerprint, verify_mac
+from vouchnet.crypto import Digest, MacTag, fingerprint, verify_mac
 from vouchnet.errors import NoVerifiersError, VouchnetError
-from vouchnet.messages import REASON_INSUFFICIENT, AuthPackage, VerifyReply
+from vouchnet.messages import REASON_INSUFFICIENT, AuthPackage, VerifyReply, mac_message
 from vouchnet.multipath import build_auth_package, decide, toc_tou_check, verify_round
+from vouchnet.wire import encode_fields
 
 APP = AppId("lamp", "1")
 
@@ -218,6 +219,70 @@ def test_relinked_pair_refuses_the_old_keys_tag():
     assert g.keystores[1][0] is not old_key
     _, replies = verify_round(100, auth, g)
     assert [(r.verifier, r.verdict) for r in replies] == [(1, False), (2, True)]
+
+
+def test_every_reply_is_a_verify_reply_that_interceptors_recognise():
+    g, catalog, clean = star_world(4)
+    auth = build_auth_package(0, clean, g)
+    seen = []
+
+    def interceptor(node, message):
+        seen.append(isinstance(message, VerifyReply))
+        return message
+
+    for hook in (None, interceptor):
+        _, replies = verify_round(100, auth, g, interceptor=hook)
+        assert [type(r) for r in replies] == [VerifyReply] * 4
+        assert [(r.verifier, r.verdict) for r in replies] == [(v, True) for v in (1, 2, 3, 4)]
+        assert replies[0]._replace(verdict=False) == VerifyReply(verifier=1, verdict=False)
+    assert seen == [True] * 4
+
+
+# -- kept binding --------------------------------------------------------------
+
+
+def reference_binding(app_id, digest):
+    return encode_fields("mac", app_id.name, app_id.version, digest.bits)
+
+
+def test_kept_binding_equals_a_fresh_encoding_for_equal_but_distinct_values():
+    digest = fingerprint(b"payload")
+    twin = Digest(bits=digest.bits, width_bits=digest.width_bits)
+    app, app_twin = AppId("lamp", "1"), AppId("lamp", "1")
+    expected = reference_binding(app, digest)
+    for app_id, d in [(app, digest), (app_twin, digest), (app, twin), (app_twin, twin),
+                      (app, digest)]:
+        assert mac_message(app_id, d) == expected
+    assert mac_message(app, digest) is mac_message(app, digest)
+    assert mac_message(app_twin, twin) is not mac_message(app, digest)
+
+
+def test_kept_binding_follows_one_digest_between_two_apps():
+    digest = fingerprint(b"payload")
+    a, b = AppId("lamp", "1"), AppId("lamp", "2")
+    for app_id in (a, b, a, a, b):
+        assert mac_message(app_id, digest) == reference_binding(app_id, digest)
+
+
+def test_tags_for_one_app_do_not_vouch_for_another_app_on_the_same_digest():
+    g, catalog, clean = star_world(3)
+    auth = build_auth_package(0, clean, g)
+    other = auth._replace(app_id=AppId("lamp", "2"))
+    for delivery, verdict in [(auth, True), (other, False), (auth, True)]:
+        _, replies = verify_round(100, delivery, g)
+        assert [r.verdict for r in replies] == [verdict] * 3
+
+
+def test_a_zeroed_tag_is_refused_after_the_binding_is_kept():
+    g, catalog, clean = star_world(3)
+    auth = build_auth_package(0, clean, g)
+    _, replies = verify_round(100, auth, g)
+    assert [r.verdict for r in replies] == [True] * 3
+    assert auth.claimed_digest._memo[1] is mac_message(auth.app_id, auth.claimed_digest)
+    zeroed = tuple((v, MacTag(key_id=t.key_id, tag=bytes(len(t.tag)), width_bits=t.width_bits))
+                   for v, t in auth.macs)
+    _, replies = verify_round(100, auth._replace(macs=zeroed), g)
+    assert [r.verdict for r in replies] == [False] * 3
 
 
 # -- quorum decision -----------------------------------------------------------

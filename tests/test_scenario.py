@@ -107,3 +107,15 @@ def test_apply_overrides_result_is_validated():
     sc = small_scenario()
     with pytest.raises(ScenarioError):
         apply_overrides(sc, {"protocol.quorum": 3.0})
+
+
+@pytest.mark.parametrize("scenario", [
+    Scenario(node_count=3, initial_edges=[[True, 0]]),
+    Scenario(node_count=3, apps=[AppSpec(name="lamp", version="1", holders=[True])]),
+    Scenario(node_count=3, apps=[AppSpec(name="lamp", version="1")],
+             workload=WorkloadSpec(explicit=[{"epoch": 0, "requester": True,
+                                              "app": "lamp@1"}])),
+], ids=["initial_edges", "holders", "explicit_requester"])
+def test_a_bool_is_not_a_node_id(scenario):
+    with pytest.raises(ScenarioError):
+        scenario.validate()
