@@ -1,15 +1,13 @@
 """Fingerprints and pairwise message authentication.
 
 Fingerprints are SHA-3 digests at a configurable width (224 or 256 bits).
-MACs are HMAC over the same SHA-3 function, so a tag occupies exactly one
+MACs are HMAC over the same SHA-3 function (RFC 2104, computed by the
+standard library's ``hmac.digest``), so a tag occupies exactly one
 fingerprint-width unit on the wire and both primitives are priced alike by
-the bandwidth model. ``mac`` and ``verify_mac`` share one HMAC routine
-(RFC 2104): on a key's first use at a width it absorbs the keyed inner and
-outer pads into two SHA-3 states and keeps them on the key, and a new tag
-after that copies the two states and hashes only the message and the inner
-digest. The key also keeps the last message it tagged with that tag, so
-tagging or verifying the same binding again under the same key costs one
-bytes comparison. Only the expected tag is kept, never a verdict: every
+the bandwidth model. ``mac`` and ``verify_mac`` share one HMAC routine,
+and a key keeps the width, message and tag it last computed, so tagging or
+verifying the same binding again under the same key costs one bytes
+comparison. Only the expected tag is kept, never a verdict: every
 presented tag is still compared in constant time against it. A digest
 likewise keeps the last app binding ``messages.mac_message`` encoded for
 it, so a delivery's binding is encoded once and every verification round
@@ -28,19 +26,21 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, KeyMismatchError, KeyStrengthError
 
+_HASHES = {224: hashlib.sha3_224, 256: hashlib.sha3_256}
+
 DEFAULT_WIDTH_BITS = 224
-SUPPORTED_WIDTHS = (224, 256)
+SUPPORTED_WIDTHS = tuple(_HASHES)
 
 # Keys shorter than this are considered legacy material and refused.
 MIN_KEY_BITS = 128
 
-_HASHES = {224: hashlib.sha3_224, 256: hashlib.sha3_256}
-
 
 class Memo:
     """Base of a frozen slotted dataclass that keeps one value derived from
-    its fields in the ``_memo`` slot. The slot is not a field, so it takes
-    no part in equality, hashing, ``repr`` or ``dataclasses.asdict``, and the
+    its fields in the ``_memo`` slot: a ``MacKey`` its last
+    ``(width_bits, message, tag)``, a ``Digest`` its last app binding, an
+    ``apps.AppPackage`` its digest. The slot is not a field, so it takes no
+    part in equality, hashing, ``repr`` or ``dataclasses.asdict``, and the
     generated ``__getstate__``/``__setstate__`` leave it out: a copy or an
     unpickled instance starts with the slot unset. Reading an unset slot
     raises ``AttributeError``."""
@@ -74,8 +74,8 @@ class MacKey(Memo):
 
     ``repr`` omits the material so keys never leak through logs or
     serialized metrics. From the key's first use its memo is one tuple
-    ``(width_bits, inner, outer, message, tag)``: the keyed HMAC states at
-    the width last used and the last message tagged at it, with its tag.
+    ``(width_bits, message, tag)``: the last message tagged, the width it
+    was tagged at, and its tag.
     """
 
     key_id: str
@@ -115,38 +115,23 @@ def new_hash(width_bits: int = DEFAULT_WIDTH_BITS):
 
 
 def _hmac_tag(key: MacKey, message: bytes, width_bits: int) -> bytes:
-    """HMAC-SHA3 of ``message`` under ``key``, byte for byte as RFC 2104.
+    """HMAC-SHA3 of ``message`` under ``key``.
 
     The last message tagged at ``width_bits`` gets its kept tag back
-    without hashing. Any other message is hashed from the key's pad states,
-    which are derived on its first use at ``width_bits`` (again after a
-    width change; a run uses one width), and its tag replaces the kept
-    one. Message, tag and states live in one tuple, replaced whole, so a
-    message is never read with another message's tag.
+    without hashing. Any other message, or another width, is tagged by
+    ``hmac.digest``, and the tuple ``(width_bits, message, tag)`` replaces
+    the kept one whole, so a message is never read with another message's
+    tag.
     """
     try:
-        kept_width, inner, outer, kept_message, kept_tag = key._memo
+        kept_width, kept_message, kept_tag = key._memo
     except AttributeError:  # the key's first use
-        kept_width = None
-    if kept_width == width_bits:
-        if kept_message == message:
-            return kept_tag
+        pass
     else:
-        h = _hash_for(width_bits)
-        inner = h()
-        block = inner.block_size
-        material = key.material
-        if len(material) > block:
-            material = h(material).digest()
-        material = material.ljust(block, b"\0")
-        inner.update(material.translate(_hmac.trans_36))
-        outer = h(material.translate(_hmac.trans_5C))
-    inner_hash = inner.copy()
-    inner_hash.update(message)
-    outer_hash = outer.copy()
-    outer_hash.update(inner_hash.digest())
-    tag = outer_hash.digest()
-    object.__setattr__(key, "_memo", (width_bits, inner, outer, bytes(message), tag))
+        if kept_width == width_bits and kept_message == message:
+            return kept_tag
+    tag = _hmac.digest(key.material, message, _hash_for(width_bits))
+    object.__setattr__(key, "_memo", (width_bits, bytes(message), tag))
     return tag
 
 
@@ -177,7 +162,7 @@ def verify_mac(key: MacKey, message: bytes, tag: MacTag,
     caller presented the tag against the wrong pairwise key, which must not
     be conflated with a forged message. A key below the minimum raises
     ``KeyStrengthError`` whatever minimum the tag was made under. Both
-    checks run on every call, before the key's HMAC state is touched. The
+    checks run on every call, before the key's kept tag is read. The
     expected tag is the genuine HMAC of the message under the key: the
     kept one when the key last tagged this message at this width,
     otherwise computed. The presented tag is compared against it in

@@ -80,9 +80,6 @@ class AuthPackage(NamedTuple):
     claimed_digest: Digest
     macs: tuple[tuple[int, MacTag], ...]
 
-    def verifier_ids(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.macs)
-
 
 class VerifyReply(NamedTuple):
     verifier: int

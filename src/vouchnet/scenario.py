@@ -285,6 +285,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _fits(value, accepted: tuple[type, ...]) -> bool:
+    """``isinstance``, except that a bool fits only an annotation naming
+    bool: JSON ``true`` is no count, size or cost."""
+    return isinstance(value, accepted) and (bool in accepted or not isinstance(value, bool))
+
+
 def _accepts(hint) -> tuple[type, ...]:
     members = get_args(hint) if isinstance(hint, UnionType) else (hint,)
     accepted = tuple(get_origin(m) or m for m in members)
@@ -329,11 +335,11 @@ def _spec_type_problems(spec, prefix: str) -> list[str]:
     problems = []
     for name, (accepted, items) in _field_types(type(spec)).items():
         value = getattr(spec, name)
-        if not isinstance(value, accepted):
+        if not _fits(value, accepted):
             problems.append(mismatch(prefix + name, value, accepted))
         elif items is not None:
             problems += [mismatch(f"{prefix}{name}.{k}", v, items)
-                         for k, v in value.items() if not isinstance(v, items)]
+                         for k, v in value.items() if not _fits(v, items)]
     return problems
 
 

@@ -60,6 +60,14 @@ def test_fingerprint_unsupported_width():
         fingerprint(b"x", 160)
 
 
+@pytest.mark.parametrize("width", [160, 512, None])
+def test_mac_unsupported_width_raises_and_keeps_nothing(width):
+    key = make_key()
+    with pytest.raises(ConfigurationError):
+        mac(key, b"m", width_bits=width)
+    assert not hasattr(key, "_memo")
+
+
 def test_bit_flip_changes_fingerprint():
     rng = random.Random(42)
     for _ in range(50):

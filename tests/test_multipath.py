@@ -35,7 +35,7 @@ def test_fanout_capped_by_neighbor_count():
     g, catalog, clean = star_world(3)
     auth = build_auth_package(0, clean, g, fanout=10)
     assert len(auth.macs) == 3
-    assert set(auth.verifier_ids()) == {1, 2, 3}
+    assert {v for v, _ in auth.macs} == {1, 2, 3}
 
 
 def test_fanout_of_ten_makes_ten_macs():
@@ -65,14 +65,14 @@ def test_weak_key_neighbors_are_skipped():
     catalog = AppCatalog()
     clean = catalog.publish_clean(APP, b"payload")
     auth = build_auth_package(0, clean, g, fanout=10)
-    assert auth.verifier_ids() == (2,)
+    assert [v for v, _ in auth.macs] == [2]
 
 
 def test_sampling_is_deterministic_per_seed():
     g, catalog, clean = star_world(12)
     a = build_auth_package(0, clean, g, fanout=5, rng=random.Random(3))
     b = build_auth_package(0, clean, g, fanout=5, rng=random.Random(3))
-    assert a.verifier_ids() == b.verifier_ids()
+    assert [v for v, _ in a.macs] == [v for v, _ in b.macs]
 
 
 # -- digest binding ------------------------------------------------------------

@@ -24,6 +24,12 @@ WRONG_TYPES = [
     ({"node_count": 4, "protocol": {"hop_limit": "2"}}, "protocol.hop_limit"),
     ({"node_count": 4, "apps": [{"name": "maps", "payload_bytes": 2.5}]},
      "apps[0].payload_bytes"),
+    ({"node_count": True}, "node_count"),
+    ({"node_count": 4, "epochs": True}, "epochs"),
+    ({"node_count": 4, "protocol": {"mac_fanout": True}}, "protocol.mac_fanout"),
+    ({"node_count": 4, "formation": {"max_degree": True}}, "formation.max_degree"),
+    ({"node_count": 4, "formation": {"link_cost": True}}, "formation.link_cost"),
+    ({"node_count": 4, "type_distribution": {"b": True}}, "type_distribution.b"),
 ]
 
 
