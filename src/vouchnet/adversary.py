@@ -40,6 +40,12 @@ class Behavior(str, Enum):
 # The names a compromise mix may weight; honest is what every node is by default.
 _STRATEGIES = frozenset(b.value for b in Behavior)
 
+# The behaviors that start out holding their app's campaign copy, a
+# corrupted package the engine installs at set-up. ``intercept`` relies on
+# it: a tampered server forwards its messages unchanged, and a swapper
+# rewrites only the digest it claims, never the payload it delivers.
+HOLDS_CAMPAIGN_COPY = frozenset({Behavior.TAMPERED_SERVER, Behavior.TOCTTOU_SWAPPER})
+
 
 @dataclass
 class CompromiseSpec:
@@ -107,7 +113,7 @@ def intercept(behavior: Behavior, message: object, ctx: InterceptContext):
     silent.
     """
     if behavior is Behavior.TAMPERED_SERVER:
-        # A tampered server's install state already carries the corruption,
+        # A tampered server holds the campaign copy (HOLDS_CAMPAIGN_COPY),
         # so both its digest report and its delivery are consistently bad.
         return message
 
@@ -126,8 +132,8 @@ def intercept(behavior: Behavior, message: object, ctx: InterceptContext):
             return message._replace(digest=ctx.catalog.clean_digest(message.app_id))
         if isinstance(message, AuthPackage):
             # Claim the clean digest and re-MAC it so the verifiers agree;
-            # the payload is left corrupted. Only the digest recomputation
-            # at the requester can catch the swap.
+            # the payload stays the campaign copy. Only the digest
+            # recomputation at the requester can catch the swap.
             clean = ctx.catalog.clean_digest(message.app_id)
             store = ctx.keystores[message.sender]
             bound = mac_message(message.app_id, clean)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from . import metrics as metrics_mod
-from .adversary import Behavior, InterceptContext, assign_behaviors, intercept
+from .adversary import HOLDS_CAMPAIGN_COPY, InterceptContext, assign_behaviors, intercept
 from .apps import AppCatalog, AppId, AppPackage, InstallState, tamper
 from .community import (
     CommunityGraph,
@@ -150,9 +150,7 @@ class Simulation:
             # Compromised servers and swappers hold corrupted copies from
             # the start: one variant per app, as a single campaign would
             # produce.
-            serving = [h for h in holders
-                       if self.behaviors.get(h) in (Behavior.TAMPERED_SERVER,
-                                                    Behavior.TOCTTOU_SWAPPER)]
+            serving = [h for h in holders if self.behaviors.get(h) in HOLDS_CAMPAIGN_COPY]
             if serving:
                 campaign = tamper(clean, adversary=min(serving),
                                   rng=derive_rng(self.seed, "campaign", spec.label()),

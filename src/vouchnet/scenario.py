@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import json
 from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
@@ -40,7 +40,8 @@ class ProtocolParams:
 
 @dataclass
 class AppSpec:
-    name: str
+    # Empty until set: validation refuses an app without a name.
+    name: str = ""
     version: str = "1"
     payload_bytes: int = 256
     # "all", an explicit id list, or {"fraction": f} resolved at setup.
@@ -97,7 +98,7 @@ class Scenario:
     # -- validation ----------------------------------------------------
 
     def validate(self) -> None:
-        problems = self._type_problems()
+        problems = _type_problems(self, "")
         if problems:
             raise ScenarioError(problems)
 
@@ -204,62 +205,17 @@ class Scenario:
     def _ids_in_range(self, ids: list) -> bool:
         return all(_is_int(i) and 0 <= i < self.node_count for i in ids)
 
-    def _type_problems(self) -> list[str]:
-        """Values whose type their field does not admit: at the top level,
-        in each section that is itself of the right type, and in each app."""
-        problems = _spec_type_problems(self, "")
-        for f in fields(self):
-            section = getattr(self, f.name)
-            if is_dataclass(f.default_factory) and isinstance(section, f.default_factory):
-                problems += _spec_type_problems(section, f"{f.name}.")
-        if isinstance(self.apps, list):
-            for i, app in enumerate(self.apps):
-                if isinstance(app, AppSpec):
-                    problems += _spec_type_problems(app, f"apps[{i}].")
-                else:
-                    problems.append(f"apps[{i}]: expected AppSpec, got {type(app).__name__}")
-        return problems
-
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
         return _plain(self)
 
     @staticmethod
-    def from_dict(data: dict) -> "Scenario":
-        data = copy.deepcopy(data)
+    def from_dict(data: object) -> "Scenario":
         problems: list[str] = []
-
-        def build(cls, sub: object, where: str):
-            if not isinstance(sub, dict):
-                problems.append(f"{where}: expected an object, got {type(sub).__name__}")
-                return cls()
-            known = {f.name for f in fields(cls)}
-            unknown = set(sub) - known
-            if unknown:
-                problems.append(f"{where}: unknown fields {sorted(unknown)}")
-            return cls(**{k: v for k, v in sub.items() if k in known})
-
-        top_known = {f.name for f in fields(Scenario)}
-        unknown = set(data) - top_known
-        if unknown:
-            problems.append(f"scenario: unknown fields {sorted(unknown)}")
-            for k in unknown:
-                data.pop(k)
-
-        for f in fields(Scenario):
-            if is_dataclass(f.default_factory) and f.name in data:
-                data[f.name] = build(f.default_factory, data[f.name], f.name)
-        if "apps" in data:
-            apps = data["apps"]
-            if not isinstance(apps, list):
-                problems.append("apps: expected a list")
-                data["apps"] = []
-            else:
-                data["apps"] = [build(AppSpec, a, f"apps[{i}]") for i, a in enumerate(apps)]
-        scenario = Scenario(**data)
+        scenario = _build(Scenario, copy.deepcopy(data), "", problems)
         if problems:
-            raise ScenarioError(problems + scenario._type_problems())
+            raise ScenarioError(problems + _type_problems(scenario, ""))
         scenario.validate()
         return scenario
 
@@ -270,8 +226,6 @@ class Scenario:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ScenarioError([f"file: not valid JSON ({exc})"]) from None
-        if not isinstance(data, dict):
-            raise ScenarioError(["file: top level must be an object"])
         return Scenario.from_dict(data)
 
     def to_file(self, path: str | Path) -> None:
@@ -297,18 +251,13 @@ def _accepts(hint) -> tuple[type, ...]:
     return accepted + (int,) if float in accepted else accepted
 
 
-@cache
-def _field_names(cls) -> tuple[str, ...] | None:
-    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
-
-
 def _plain(value):
     """``dataclasses.asdict`` for a scenario's values: sections become
     dicts and containers are copied, while scalars, all immutable, are
     shared rather than deep-copied."""
-    names = _field_names(type(value))
-    if names is not None:
-        return {name: _plain(getattr(value, name)) for name in names}
+    schema = _field_types(type(value))
+    if schema is not None:
+        return {name: _plain(getattr(value, name)) for name in schema}
     if isinstance(value, list):
         return [_plain(v) for v in value]
     if isinstance(value, tuple):
@@ -319,27 +268,78 @@ def _plain(value):
 
 
 @cache
-def _field_types(cls) -> dict[str, tuple[tuple[type, ...], tuple[type, ...] | None]]:
-    """Per field of a spec, the types its annotation admits (an int fits a
-    float, None an optional field), and for a map those of its values."""
-    return {name: (_accepts(hint),
-                   _accepts(get_args(hint)[1]) if get_origin(hint) is dict else None)
-            for name, hint in get_type_hints(cls).items()}
+def _field_types(cls) -> dict[str, tuple[tuple[type, ...], tuple[type, ...] | None,
+                                         type | None]] | None:
+    """The schema of a spec class, or None for a class that is not a spec.
+
+    Per field: the types its annotation admits (an int fits a float, None
+    an optional field), for a map those of its values, and the spec class
+    of a section or of a list's entries (None when they are no spec).
+    """
+    if not is_dataclass(cls):
+        return None
+    schema = {}
+    for name, hint in get_type_hints(cls).items():
+        args = get_args(hint)
+        spec = args[0] if get_origin(hint) is list else hint
+        schema[name] = (_accepts(hint), _accepts(args[1]) if get_origin(hint) is dict else None,
+                        spec if is_dataclass(spec) else None)
+    return schema
 
 
-def _spec_type_problems(spec, prefix: str) -> list[str]:
-    def mismatch(path: str, value: object, accepted: tuple[type, ...]) -> str:
-        names = " or ".join(sorted("None" if t is NoneType else t.__name__ for t in accepted))
-        return f"{path}: expected {names}, got {type(value).__name__}"
+def _build(cls, data: object, prefix: str, problems: list[str]):
+    """An instance of spec ``cls`` from its JSON object, each section and
+    entry built the same way. A value that is no object, a list of entries
+    that is no list, and unknown fields go into ``problems`` by path, and
+    what they stood for keeps its default."""
+    where = prefix[:-1] or "scenario"
+    if not isinstance(data, dict):
+        problems.append(f"{where}: expected an object, got {type(data).__name__}")
+        return cls()
+    schema = _field_types(cls)
+    unknown = data.keys() - schema.keys()
+    if unknown:
+        problems.append(f"{where}: unknown fields {sorted(unknown, key=str)}")
+    values = {k: v for k, v in data.items() if k in schema}
+    nested = [(name, accepted, spec) for name, (accepted, _, spec) in schema.items()
+              if spec is not None and name in values]
+    # Sections before lists of entries, as ``_type_problems`` lists them.
+    for name, accepted, spec in sorted(nested, key=lambda f: list in f[1]):
+        if list not in accepted:
+            values[name] = _build(spec, values[name], f"{prefix}{name}.", problems)
+        elif isinstance(values[name], list):
+            values[name] = [_build(spec, v, f"{prefix}{name}[{i}].", problems)
+                            for i, v in enumerate(values[name])]
+        else:
+            problems.append(f"{prefix}{name}: expected a list")
+            values[name] = []
+    return cls(**values)
 
-    problems = []
-    for name, (accepted, items) in _field_types(type(spec)).items():
+
+def _mismatch(path: str, value: object, accepted: tuple[type, ...]) -> str:
+    names = " or ".join(sorted("None" if t is NoneType else t.__name__ for t in accepted))
+    return f"{path}: expected {names}, got {type(value).__name__}"
+
+
+def _type_problems(spec, prefix: str) -> list[str]:
+    """Values whose type their field does not admit, by path: the spec's
+    own fields and map values, then each section, then each entry of a
+    list of specs, walked the same way."""
+    problems, sections, entries = [], [], []
+    for name, (accepted, items, cls) in _field_types(type(spec)).items():
         value = getattr(spec, name)
         if not _fits(value, accepted):
-            problems.append(mismatch(prefix + name, value, accepted))
+            problems.append(_mismatch(prefix + name, value, accepted))
         elif items is not None:
-            problems += [mismatch(f"{prefix}{name}.{k}", v, items)
+            problems += [_mismatch(f"{prefix}{name}.{k}", v, items)
                          for k, v in value.items() if not _fits(v, items)]
+        elif cls is not None and list in accepted:
+            entries += [(f"{prefix}{name}[{i}]", v, cls) for i, v in enumerate(value)]
+        elif cls is not None:
+            sections.append((prefix + name, value, cls))
+    for path, value, cls in sections + entries:
+        problems += (_type_problems(value, path + ".") if isinstance(value, cls)
+                     else [_mismatch(path, value, (cls,))])
     return problems
 
 
