@@ -46,8 +46,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with (open(args.out, "a", encoding="utf-8", newline="") if args.out
           else contextlib.nullcontext()) as out:
         rows = sweep(scenario, grid, seeds_per_point=args.reps)
-        if not rows:
-            return 0
         if out is not None:
             out.truncate(0)
         for fh in (out, sys.stdout):

@@ -12,6 +12,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Annotated
 
 from .crypto import MacKey
 from .errors import ConfigurationError
@@ -37,16 +38,20 @@ class NodeProfile:
 
 @dataclass
 class FormationParams:
+    """The formation game's parameters. An ``Annotated`` field carries its
+    closed bounds ``(low, high)``, None for no top, which scenario
+    validation checks."""
+
     beta_same: float = 1.0          # benefit of a same-type link
     beta_diff: float = 0.2          # benefit of a cross-type link
-    link_cost: float = 0.5
+    link_cost: Annotated[float, 0.0, None] = 0.5
     trust_weight: float = 0.0
-    join_rate: float = 0.0
-    leave_rate: float = 0.0
-    proposals_per_round: int = 3
-    severance_threshold: float = 0.2
-    max_degree: int = DEFAULT_MAX_DEGREE
-    supernode_count: int = 0
+    join_rate: Annotated[float, 0.0, 1.0] = 0.0
+    leave_rate: Annotated[float, 0.0, 1.0] = 0.0
+    proposals_per_round: Annotated[int, 0, None] = 3
+    severance_threshold: Annotated[float, 0.0, 1.0] = 0.2
+    max_degree: Annotated[int, 1, None] = DEFAULT_MAX_DEGREE
+    supernode_count: Annotated[int, 0, None] = 0
 
 
 class CommunityGraph:

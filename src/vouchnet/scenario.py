@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 from .adversary import CompromiseSpec
 from .apps import app_label
@@ -25,13 +26,16 @@ from .multipath import DEFAULT_MAC_FANOUT, DEFAULT_QUORUM
 
 SCHEMA_VERSION = 1
 
+# A spec field's ``Annotated`` metadata is its closed bounds ``(low, high)``,
+# None for no top; for a map they bound its values. ``_walk`` checks them.
+
 @dataclass
 class ProtocolParams:
     digest_width_bits: int = DEFAULT_WIDTH_BITS
-    mac_fanout: int = DEFAULT_MAC_FANOUT
+    mac_fanout: Annotated[int, 1, None] = DEFAULT_MAC_FANOUT
     quorum: float = DEFAULT_QUORUM
-    min_key_bits: int = MIN_KEY_BITS
-    hop_limit: int | None = None
+    min_key_bits: Annotated[int, 8, None] = MIN_KEY_BITS
+    hop_limit: Annotated[int | None, 1, None] = None
     # When False the requester accepts the claimed digest as the reference
     # instead of binding the delivery to a prior vote. Used by studies that
     # measure what the verifier quorum achieves on its own.
@@ -43,7 +47,7 @@ class AppSpec:
     # Empty until set: validation refuses an app without a name.
     name: str = ""
     version: str = "1"
-    payload_bytes: int = 256
+    payload_bytes: Annotated[int, 0, None] = 256
     # "all", an explicit id list, or {"fraction": f} resolved at setup.
     holders: object = "all"
     # Explicit id list or {"fraction": f}; these holders start with a
@@ -55,15 +59,18 @@ class AppSpec:
 
 @dataclass
 class WorkloadSpec:
-    requests_per_epoch: int = 0
+    requests_per_epoch: Annotated[int, 0, None] = 0
     # Explicit entries: {"epoch": e, "requester": node, "app": "name@ver"}.
     explicit: list[dict] = field(default_factory=list)
 
 
+_ENTRY_FIELDS = ("epoch", "requester", "app")
+
+
 @dataclass
 class OldDeviceSpec:
-    fraction: float = 0.0
-    key_bits: int = 64
+    fraction: Annotated[float, 0.0, 1.0] = 0.0
+    key_bits: Annotated[int, 8, None] = 64
 
 
 @dataclass
@@ -73,15 +80,16 @@ class StudySpec:
     delivery_substitution: bool = False
     # When set, each polled verifier independently lies positive with this
     # probability, overriding node behaviors for the verification step.
-    verifier_compromise_p: float | None = None
+    verifier_compromise_p: Annotated[float | None, 0.0, 1.0] = None
 
 
 @dataclass
 class Scenario:
     seed: int = 0
-    epochs: int = 1
-    node_count: int = 10
-    type_distribution: dict[str, float] = field(default_factory=lambda: {"default": 1.0})
+    epochs: Annotated[int, 0, None] = 1
+    node_count: Annotated[int, 0, None] = 10
+    type_distribution: dict[str, Annotated[float, 0.0, None]] = field(
+        default_factory=lambda: {"default": 1.0})
     topology: str = "none"                 # "none" | "complete"
     initial_edges: list[list[int]] = field(default_factory=list)
     formation: FormationParams = field(default_factory=FormationParams)
@@ -98,9 +106,10 @@ class Scenario:
     # -- validation ----------------------------------------------------
 
     def validate(self) -> None:
-        problems = _type_problems(self, "")
-        if problems:
-            raise ScenarioError(problems)
+        problems: list[str] = []
+        type_problems = _walk(self, "", [], problems)
+        if type_problems:
+            raise ScenarioError(type_problems)
 
         def check(ok: bool, message: str) -> None:
             if not ok:
@@ -108,12 +117,7 @@ class Scenario:
 
         check(self.schema == SCHEMA_VERSION,
               f"schema: expected {SCHEMA_VERSION}, got {self.schema!r}")
-        check(self.epochs >= 0, f"epochs: must be a non-negative integer, got {self.epochs!r}")
-        check(self.node_count >= 0,
-              f"node_count: must be a non-negative integer, got {self.node_count!r}")
         check(bool(self.type_distribution), "type_distribution: must not be empty")
-        for t, w in self.type_distribution.items():
-            check(w >= 0, f"type_distribution.{t}: negative weight {w}")
         check(sum(self.type_distribution.values()) > 0,
               "type_distribution: weights sum to zero")
         check(self.topology in ("none", "complete"),
@@ -134,37 +138,22 @@ class Scenario:
             check(not over, f"initial_edges: nodes {over} would exceed "
                             f"formation.max_degree {self.formation.max_degree}")
 
-        f = self.formation
-        for name in ("join_rate", "leave_rate"):
-            v = getattr(f, name)
-            check(0.0 <= v <= 1.0, f"formation.{name}: {v} outside [0, 1]")
-        check(f.proposals_per_round >= 0, "formation.proposals_per_round: negative")
-        check(f.max_degree >= 1, "formation.max_degree: must be at least 1")
-        check(f.supernode_count >= 0, "formation.supernode_count: negative")
-        check(f.link_cost >= 0.0, f"formation.link_cost: {f.link_cost} negative")
-        check(0.0 <= f.severance_threshold <= 1.0,
-              f"formation.severance_threshold: {f.severance_threshold} outside [0, 1]")
-
         p = self.protocol
         check(p.digest_width_bits in SUPPORTED_WIDTHS,
               f"protocol.digest_width_bits: {p.digest_width_bits} unsupported")
-        check(p.mac_fanout >= 1, f"protocol.mac_fanout: {p.mac_fanout} below 1")
         check(0.0 < p.quorum < 1.0, f"protocol.quorum: {p.quorum} outside (0, 1)")
-        check(p.min_key_bits >= 8, "protocol.min_key_bits: below 8")
-        check(p.hop_limit is None or p.hop_limit >= 1,
-              f"protocol.hop_limit: {p.hop_limit} invalid")
 
         labels = set()
         for a in self.apps:
             check(bool(a.name), "apps: empty name")
-            check(a.payload_bytes >= 0, f"apps.{a.name}: negative payload_bytes")
             check(a.label() not in labels, f"apps: duplicate app {a.label()}")
             labels.add(a.label())
             for name in ("holders", "tampered_holders"):
                 selector, where = getattr(a, name), f"apps.{a.name}.{name}"
                 if isinstance(selector, dict):
+                    problems += _unknown_fields(where, selector, ("fraction",))
                     frac = selector.get("fraction")
-                    check(isinstance(frac, (int, float)) and 0.0 <= frac <= 1.0,
+                    check(_fits(frac, (int, float)) and 0.0 <= frac <= 1.0,
                           f"{where}: bad fraction {selector!r}")
                 elif isinstance(selector, list):
                     check(self._ids_in_range(selector), f"{where}: ids out of range")
@@ -175,12 +164,11 @@ class Scenario:
 
         problems += self.compromise.problems()
 
-        w = self.workload
-        check(w.requests_per_epoch >= 0, "workload.requests_per_epoch: negative")
-        for entry in w.explicit:
-            ok = (isinstance(entry, dict) and _is_int(entry.get("epoch"))
-                  and _is_int(entry.get("requester"))
-                  and isinstance(entry.get("app"), str))
+        for i, entry in enumerate(self.workload.explicit):
+            if isinstance(entry, dict):
+                problems += _unknown_fields(f"workload.explicit[{i}]", entry, _ENTRY_FIELDS)
+            ok = (isinstance(entry, dict) and _fits(entry.get("epoch"), (int,))
+                  and _fits(entry.get("requester"), (int,)) and isinstance(entry.get("app"), str))
             check(ok, f"workload.explicit: bad entry {entry!r}")
             if ok:
                 check(entry["app"] in labels,
@@ -190,20 +178,14 @@ class Scenario:
                 check(0 <= entry["epoch"] < max(self.epochs, 1),
                       f"workload.explicit: epoch {entry['epoch']} out of range")
 
-        check(0.0 <= self.old_devices.fraction <= 1.0,
-              f"old_devices.fraction: {self.old_devices.fraction} outside [0, 1]")
-        check(self.old_devices.key_bits >= 8 and self.old_devices.key_bits % 8 == 0,
-              "old_devices.key_bits: must be a positive byte multiple")
-
-        s = self.study
-        check(s.verifier_compromise_p is None or 0.0 <= s.verifier_compromise_p <= 1.0,
-              "study.verifier_compromise_p: outside [0, 1]")
+        bits = self.old_devices.key_bits  # the field's bound reports a value below 8
+        check(bits < 8 or bits % 8 == 0, "old_devices.key_bits: not a multiple of 8")
 
         if problems:
             raise ScenarioError(problems)
 
     def _ids_in_range(self, ids: list) -> bool:
-        return all(_is_int(i) and 0 <= i < self.node_count for i in ids)
+        return all(_fits(i, (int,)) and 0 <= i < self.node_count for i in ids)
 
     # -- serialization ---------------------------------------------------
 
@@ -215,7 +197,7 @@ class Scenario:
         problems: list[str] = []
         scenario = _build(Scenario, copy.deepcopy(data), "", problems)
         if problems:
-            raise ScenarioError(problems + _type_problems(scenario, ""))
+            raise ScenarioError(_walk(scenario, "", problems, []))
         scenario.validate()
         return scenario
 
@@ -234,21 +216,28 @@ class Scenario:
             fh.write("\n")
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool: JSON ``true`` is no node id or epoch."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _fits(value, accepted: tuple[type, ...]) -> bool:
     """``isinstance``, except that a bool fits only an annotation naming
-    bool: JSON ``true`` is no count, size or cost."""
-    return isinstance(value, accepted) and (bool in accepted or not isinstance(value, bool))
+    bool, and a float one naming float only when finite: JSON ``true``,
+    ``NaN`` and ``Infinity`` are no count, size, rate or cost."""
+    if isinstance(value, bool):
+        return bool in accepted
+    if isinstance(value, float) and float in accepted:
+        return math.isfinite(value)
+    return isinstance(value, accepted)
 
 
-def _accepts(hint) -> tuple[type, ...]:
+def _accepts(hint) -> tuple[tuple[type, ...], tuple[float, float] | None]:
+    """The types ``hint`` admits (an int fits a float, None an optional
+    field), and the bounds its ``Annotated`` metadata states, with an
+    infinite top for None (None when it states none)."""
+    bounds = None
+    if get_origin(hint) is Annotated:
+        hint, low, high = get_args(hint)
+        bounds = (low, math.inf if high is None else high)
     members = get_args(hint) if isinstance(hint, UnionType) else (hint,)
     accepted = tuple(get_origin(m) or m for m in members)
-    return accepted + (int,) if float in accepted else accepted
+    return (accepted + (int,) if float in accepted else accepted), bounds
 
 
 def _plain(value):
@@ -269,22 +258,30 @@ def _plain(value):
 
 @cache
 def _field_types(cls) -> dict[str, tuple[tuple[type, ...], tuple[type, ...] | None,
-                                         type | None]] | None:
+                                         type | None, tuple[float, float] | None]] | None:
     """The schema of a spec class, or None for a class that is not a spec.
 
     Per field: the types its annotation admits (an int fits a float, None
-    an optional field), for a map those of its values, and the spec class
-    of a section or of a list's entries (None when they are no spec).
+    an optional field), for a map those of its values, the spec class of a
+    section or of a list's entries (None when they are no spec), and the
+    bounds on the value, or on a map's values (None when unbounded).
     """
     if not is_dataclass(cls):
         return None
     schema = {}
-    for name, hint in get_type_hints(cls).items():
-        args = get_args(hint)
-        spec = args[0] if get_origin(hint) is list else hint
-        schema[name] = (_accepts(hint), _accepts(args[1]) if get_origin(hint) is dict else None,
-                        spec if is_dataclass(spec) else None)
+    for name, hint in get_type_hints(cls, include_extras=True).items():
+        accepted, bounds = _accepts(hint)
+        items = None
+        if get_origin(hint) is dict:
+            items, bounds = _accepts(get_args(hint)[1])
+        spec = get_args(hint)[0] if get_origin(hint) is list else hint
+        schema[name] = (accepted, items, spec if is_dataclass(spec) else None, bounds)
     return schema
+
+
+def _unknown_fields(where: str, data: dict, known) -> list[str]:
+    unknown = data.keys() - known
+    return [f"{where}: unknown fields {sorted(unknown, key=str)}"] if unknown else []
 
 
 def _build(cls, data: object, prefix: str, problems: list[str]):
@@ -297,13 +294,11 @@ def _build(cls, data: object, prefix: str, problems: list[str]):
         problems.append(f"{where}: expected an object, got {type(data).__name__}")
         return cls()
     schema = _field_types(cls)
-    unknown = data.keys() - schema.keys()
-    if unknown:
-        problems.append(f"{where}: unknown fields {sorted(unknown, key=str)}")
+    problems += _unknown_fields(where, data, schema.keys())
     values = {k: v for k, v in data.items() if k in schema}
-    nested = [(name, accepted, spec) for name, (accepted, _, spec) in schema.items()
+    nested = [(name, accepted, spec) for name, (accepted, _, spec, _) in schema.items()
               if spec is not None and name in values]
-    # Sections before lists of entries, as ``_type_problems`` lists them.
+    # Sections before lists of entries, as ``_walk`` lists them.
     for name, accepted, spec in sorted(nested, key=lambda f: list in f[1]):
         if list not in accepted:
             values[name] = _build(spec, values[name], f"{prefix}{name}.", problems)
@@ -317,30 +312,45 @@ def _build(cls, data: object, prefix: str, problems: list[str]):
 
 
 def _mismatch(path: str, value: object, accepted: tuple[type, ...]) -> str:
+    if isinstance(value, float) and float in accepted:
+        return f"{path}: expected a finite number, got {value}"
     names = " or ".join(sorted("None" if t is NoneType else t.__name__ for t in accepted))
     return f"{path}: expected {names}, got {type(value).__name__}"
 
 
-def _type_problems(spec, prefix: str) -> list[str]:
-    """Values whose type their field does not admit, by path: the spec's
-    own fields and map values, then each section, then each entry of a
-    list of specs, walked the same way."""
-    problems, sections, entries = [], [], []
-    for name, (accepted, items, cls) in _field_types(type(spec)).items():
+def _walk(spec, prefix: str, problems: list[str], range_problems: list[str]) -> list[str]:
+    """Append by path each value whose type its field does not admit to
+    ``problems``, and each value outside its field's bounds to
+    ``range_problems``: the spec's own fields and map values, then each
+    section, then each entry of a list of specs, walked the same way.
+    Returns ``problems``."""
+    sections, entries = [], []
+    for name, (accepted, items, cls, bounds) in _field_types(type(spec)).items():
         value = getattr(spec, name)
         if not _fits(value, accepted):
             problems.append(_mismatch(prefix + name, value, accepted))
         elif items is not None:
-            problems += [_mismatch(f"{prefix}{name}.{k}", v, items)
-                         for k, v in value.items() if not _fits(v, items)]
+            for k, v in value.items():
+                if not _fits(v, items):
+                    problems.append(_mismatch(f"{prefix}{name}.{k}", v, items))
+                elif bounds is not None and not bounds[0] <= v <= bounds[1]:
+                    range_problems.append(_outside(f"{prefix}{name}.{k}", v, bounds))
         elif cls is not None and list in accepted:
             entries += [(f"{prefix}{name}[{i}]", v, cls) for i, v in enumerate(value)]
         elif cls is not None:
             sections.append((prefix + name, value, cls))
+        elif bounds is not None and value is not None and not bounds[0] <= value <= bounds[1]:
+            range_problems.append(_outside(prefix + name, value, bounds))
     for path, value, cls in sections + entries:
-        problems += (_type_problems(value, path + ".") if isinstance(value, cls)
-                     else [_mismatch(path, value, (cls,))])
+        if isinstance(value, cls):
+            _walk(value, path + ".", problems, range_problems)
+        else:
+            problems.append(_mismatch(path, value, (cls,)))
     return problems
+
+
+def _outside(path: str, value: float, bounds: tuple[float, float]) -> str:
+    return f"{path}: {value} outside [{bounds[0]}, {bounds[1]}]"
 
 
 def apply_overrides(base: Scenario, overrides: dict[str, object]) -> Scenario:

@@ -30,6 +30,14 @@ WRONG_TYPES = [
     ({"node_count": 4, "formation": {"max_degree": True}}, "formation.max_degree"),
     ({"node_count": 4, "formation": {"link_cost": True}}, "formation.link_cost"),
     ({"node_count": 4, "type_distribution": {"b": True}}, "type_distribution.b"),
+] + [
+    # JSON's NaN and Infinity are no number a scenario can run with.
+    pytest.param({"node_count": 4, section: {key: value}}, f"{section}.{key}",
+                 id=f"{section}.{key}={value}")
+    for section, key in [("formation", "beta_same"), ("formation", "beta_diff"),
+                         ("formation", "trust_weight"), ("formation", "link_cost"),
+                         ("protocol", "quorum"), ("type_distribution", "a")]
+    for value in (float("nan"), float("inf"), float("-inf"))
 ]
 
 
