@@ -62,12 +62,12 @@ class CompromiseSpec:
         """Every rule the spec breaks, each named by its scenario path."""
         found = []
         if not 0.0 <= self.fraction <= 1.0:
-            found.append(f"compromise.fraction: {self.fraction} outside [0, 1]")
+            found.append(f"compromise.fraction: {self.fraction} outside [0.0, 1.0]")
         for name, weight in self.mix.items():
             if name not in _STRATEGIES:
                 found.append(f"compromise.mix: unknown strategy {name!r}")
             if weight < 0:
-                found.append(f"compromise.mix.{name}: negative weight")
+                found.append(f"compromise.mix.{name}: {weight} outside [0.0, inf]")
         if self.fraction > 0 and not self.mix:
             found.append("compromise.mix: empty while fraction > 0")
         if self.mix and not abs(sum(self.mix.values()) - 1.0) < 1e-9:

@@ -295,9 +295,7 @@ class Simulation:
         auth = self._interceptor(source, auth)
         delivered = package
         if sc.study.delivery_substitution:
-            delivered = tamper(AppPackage(app_id=app_id, payload=auth.payload,
-                                          origin=package.origin, adversary=package.adversary),
-                               adversary=source, rng=rng, width_bits=self.width)
+            delivered = tamper(package, adversary=source, rng=rng, width_bits=self.width)
             auth = auth._replace(payload=delivered.payload,
                                  claimed_digest=delivered.fingerprint(self.width))
         trace.payload_bytes = len(auth.payload)

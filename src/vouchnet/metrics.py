@@ -191,18 +191,12 @@ class MetricsReport:
             lines.append(json.dumps({"type": "trust", **asdict(sample)}, sort_keys=True))
         return lines
 
-    def epoch_csv(self) -> str:
-        return _csv(EpochMetrics, self.epochs)
-
-    def overhead_csv(self) -> str:
-        return _csv(OverheadRecord, self.overhead)
-
     def write(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "metrics.jsonl").write_text("\n".join(self.jsonl_lines()) + "\n",
                                            encoding="utf-8")
-        (out / "epochs.csv").write_text(self.epoch_csv(), encoding="utf-8")
-        (out / "overhead.csv").write_text(self.overhead_csv(), encoding="utf-8")
+        (out / "epochs.csv").write_text(_csv(EpochMetrics, self.epochs), encoding="utf-8")
+        (out / "overhead.csv").write_text(_csv(OverheadRecord, self.overhead), encoding="utf-8")
         (out / "summary.json").write_text(
             json.dumps(self.totals(), indent=2, sort_keys=True) + "\n", encoding="utf-8")

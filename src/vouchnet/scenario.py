@@ -118,8 +118,9 @@ class Scenario:
         check(self.schema == SCHEMA_VERSION,
               f"schema: expected {SCHEMA_VERSION}, got {self.schema!r}")
         check(bool(self.type_distribution), "type_distribution: must not be empty")
-        check(sum(self.type_distribution.values()) > 0,
-              "type_distribution: weights sum to zero")
+        total = sum(self.type_distribution.values())
+        check(total > 0, "type_distribution: weights sum to zero")
+        check(_fits(total, (float,)), "type_distribution: weights sum to infinity")
         check(self.topology in ("none", "complete"),
               f"topology: must be 'none' or 'complete', got {self.topology!r}")
         if self.topology == "complete" and self.node_count > 1:
@@ -218,12 +219,16 @@ class Scenario:
 
 def _fits(value, accepted: tuple[type, ...]) -> bool:
     """``isinstance``, except that a bool fits only an annotation naming
-    bool, and a float one naming float only when finite: JSON ``true``,
-    ``NaN`` and ``Infinity`` are no count, size, rate or cost."""
+    bool, and a number one naming float only when it is a finite float:
+    JSON ``true``, ``NaN``, ``Infinity`` and an integer too large for a
+    float are no count, size, rate or cost."""
     if isinstance(value, bool):
         return bool in accepted
-    if isinstance(value, float) and float in accepted:
-        return math.isfinite(value)
+    if isinstance(value, (int, float)) and float in accepted:
+        try:
+            return math.isfinite(value)
+        except OverflowError:
+            return False
     return isinstance(value, accepted)
 
 
@@ -242,15 +247,13 @@ def _accepts(hint) -> tuple[tuple[type, ...], tuple[float, float] | None]:
 
 def _plain(value):
     """``dataclasses.asdict`` for a scenario's values: sections become
-    dicts and containers are copied, while scalars, all immutable, are
-    shared rather than deep-copied."""
+    dicts and lists and maps are copied, while scalars and tuples, all
+    immutable, are shared rather than deep-copied."""
     schema = _field_types(type(value))
     if schema is not None:
         return {name: _plain(getattr(value, name)) for name in schema}
     if isinstance(value, list):
         return [_plain(v) for v in value]
-    if isinstance(value, tuple):
-        return tuple(_plain(v) for v in value)
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     return value
@@ -312,8 +315,9 @@ def _build(cls, data: object, prefix: str, problems: list[str]):
 
 
 def _mismatch(path: str, value: object, accepted: tuple[type, ...]) -> str:
-    if isinstance(value, float) and float in accepted:
-        return f"{path}: expected a finite number, got {value}"
+    if float in accepted and isinstance(value, (int, float)) and not isinstance(value, bool):
+        shown = value if isinstance(value, float) else "an int too large for a float"
+        return f"{path}: expected a finite number, got {shown}"
     names = " or ".join(sorted("None" if t is NoneType else t.__name__ for t in accepted))
     return f"{path}: expected {names}, got {type(value).__name__}"
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import add
 
 from .engine import run
 from .errors import UnknownParameterError
@@ -32,33 +34,22 @@ def sweep(base: Scenario, grid: dict[str, list], seeds_per_point: int = 1) -> li
     scenarios = [apply_overrides(base, point) if point else base for point in points]
     rows: list[dict] = []
     for point_index, (point, scenario) in enumerate(zip(points, scenarios)):
-        retrievals = accepted = tampered = 0
-        infections = 0.0
-        bits = 0
-        homophily_sum = 0.0
-        homophily_runs = 0
-        for rep in range(seeds_per_point):
-            seed = derive_seed(base.seed, "sweep", point_index, rep)
-            _, report = run(scenario, seed=seed)
-            totals = report.totals()
-            retrievals += totals["retrievals"]
-            accepted += totals["accepted"]
-            tampered += totals["tampered_accepted"]
-            infections += totals["final_infections"]
-            bits += totals["total_bits"]
-            if totals["final_homophily"] is not None:
-                homophily_sum += totals["final_homophily"]
-                homophily_runs += 1
-        row = dict(point)
-        row.update({
+        runs = [run(scenario, seed=derive_seed(base.seed, "sweep", point_index, rep))[1].totals()
+                for rep in range(seeds_per_point)]
+        retrievals = sum(t["retrievals"] for t in runs)
+        homophily = [t["final_homophily"] for t in runs if t["final_homophily"] is not None]
+        rows.append({
+            **point,
             "runs": seeds_per_point,
             "retrievals": retrievals,
-            "acceptance_rate": accepted / retrievals if retrievals else None,
-            "tampered_acceptance_rate": tampered / retrievals if retrievals else None,
-            "mean_final_infections": infections / seeds_per_point,
-            "mean_total_bits": bits / seeds_per_point,
-            "mean_final_homophily": (homophily_sum / homophily_runs
-                                     if homophily_runs else None),
+            "acceptance_rate": (sum(t["accepted"] for t in runs) / retrievals
+                                if retrievals else None),
+            "tampered_acceptance_rate": (sum(t["tampered_accepted"] for t in runs) / retrievals
+                                         if retrievals else None),
+            "mean_final_infections": sum(t["final_infections"] for t in runs) / seeds_per_point,
+            "mean_total_bits": sum(t["total_bits"] for t in runs) / seeds_per_point,
+            # A running total: from Python 3.12 on, ``sum`` rounds floats differently.
+            "mean_final_homophily": (reduce(add, homophily, 0.0) / len(homophily)
+                                     if homophily else None),
         })
-        rows.append(row)
     return rows

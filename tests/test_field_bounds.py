@@ -163,3 +163,66 @@ def test_selectors_and_explicit_entries_obey_the_value_rules(data, message):
     with pytest.raises(ScenarioError) as exc:
         Simulation(built_in_code(data))
     assert exc.value.fields == [message]
+
+
+# An int JSON reads from a 401-digit literal: no float holds it.
+HUGE = 10**400
+
+OVERFLOWING_INTS = [
+    ({"node_count": 8, "epochs": 2, "formation": {"join_rate": 0.5, key: HUGE}},
+     f"formation.{key}") for key in ("link_cost", "beta_same", "trust_weight")
+] + [
+    ({"node_count": 8, "epochs": 2, "type_distribution": {"a": HUGE, "b": 1},
+      "formation": {"join_rate": 1.0}}, "type_distribution.a"),
+    ({"node_count": 8, "compromise": {"fraction": 0.5, "mix": {"free_rider": HUGE}}},
+     "compromise.mix.free_rider"),
+]
+
+
+@pytest.mark.parametrize("data, path", OVERFLOWING_INTS, ids=[p for _, p in OVERFLOWING_INTS])
+def test_an_int_too_large_for_a_float_is_refused_not_a_crash(data, path):
+    for build in (Scenario.from_dict, lambda d: Simulation(built_in_code(d))):
+        with pytest.raises(ScenarioError) as exc:
+            build(data)
+        assert exc.value.fields == [
+            f"{path}: expected a finite number, got an int too large for a float"]
+
+
+def test_a_bool_in_a_float_field_is_still_named_by_its_type():
+    with pytest.raises(ScenarioError) as exc:
+        Scenario.from_dict({"node_count": 4, "formation": {"link_cost": True}})
+    assert exc.value.fields == ["formation.link_cost: expected float or int, got bool"]
+
+
+@pytest.mark.parametrize("weights", [{"a": 1e308, "b": 1e308}, {"a": 10**308, "b": 10**308}],
+                         ids=["floats", "ints"])
+def test_weights_whose_sum_no_float_holds_are_refused_not_a_crash(weights):
+    data = {"node_count": 4, "epochs": 2, "type_distribution": weights,
+            "formation": {"join_rate": 1.0}}
+    for build in (Scenario.from_dict, lambda d: Simulation(built_in_code(d))):
+        with pytest.raises(ScenarioError) as exc:
+            build(data)
+        assert exc.value.fields == ["type_distribution: weights sum to infinity"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"formation": {"link_cost": %d}}' % HUGE,
+     "formation.link_cost: expected a finite number, got an int too large for a float"),
+    ('{"node_count": 4, "type_distribution": {"a": 1e308, "b": 1e308}}',
+     "type_distribution: weights sum to infinity"),
+], ids=["401-digit-link-cost", "weights-sum-to-infinity"])
+def test_cli_reports_an_overflowing_number_in_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: invalid scenario: {message}\n"
+
+
+def test_the_compromise_bounds_are_reported_in_the_one_format():
+    data = {"node_count": 4, "compromise": {"fraction": 1.5, "mix": {"free_rider": 1.5,
+                                                                     "lying_verifier": -0.5}}}
+    with pytest.raises(ScenarioError) as exc:
+        Scenario.from_dict(data)
+    assert exc.value.fields == ["compromise.fraction: 1.5 outside [0.0, 1.0]",
+                                "compromise.mix.lying_verifier: -0.5 outside [0.0, inf]"]

@@ -1,11 +1,14 @@
 """Parameter sweeps over the simulator."""
 
+import hashlib
 import math
 import sys
 
 import pytest
 
+from test_engine import SCENARIOS
 from vouchnet import sweep
+from vouchnet.cli import main
 from vouchnet.engine import run
 from vouchnet.errors import ScenarioError, UnknownParameterError
 from vouchnet.rng import derive_seed
@@ -130,3 +133,25 @@ def test_quorum_sweep_tracks_binomial_tail():
         se = math.sqrt(exact * (1 - exact) / trials)
         assert abs(row["tampered_acceptance_rate"] - exact) <= 3 * se
     assert rows[0]["tampered_acceptance_rate"] > rows[1]["tampered_acceptance_rate"]
+
+
+def test_campaign_grid_csv_is_pinned(tmp_path, capsys):
+    # The bytes `vouchnet sweep` writes for the packaged campaign and grid.
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(SCENARIOS / "tampered_campaign.json"),
+                 "--grid", str(SCENARIOS / "campaign_grid.json"),
+                 "--reps", "20", "--out", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "f7b9d9b885eb7b8d6f7ad587b2ecaad1338f1767c22d31d4b45a99b7ce5d2739")
+
+
+def test_mean_final_homophily_is_the_running_total_over_runs():
+    # Two types, so the runs end at different homophilies. Summed in run
+    # order, one float at a time, on every Python version.
+    base = Scenario.from_file(SCENARIOS / "community_study.json")
+    [row] = sweep(base, {}, seeds_per_point=4)
+    total = 0.0
+    for rep in range(4):
+        _, report = run(base, seed=derive_seed(base.seed, "sweep", 0, rep))
+        total += report.totals()["final_homophily"]
+    assert row["mean_final_homophily"] == total / 4 == 0.43980618968235063
